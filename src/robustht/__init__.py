@@ -61,9 +61,7 @@ from .model import (
     AttackSpec,
     Decision,
     HypothesisModel,
-    Observation,
     TwoLevelProfile,
-    generate_observation,
     pairwise_half_difference,
 )
 from .numerics import (
@@ -84,7 +82,7 @@ __all__ = [
     "q_function", "truncated_gaussian_moment",
     # model
     "REJECT", "HypothesisModel", "TwoLevelProfile", "AttackMode", "AttackSpec",
-    "Observation", "Decision", "pairwise_half_difference", "generate_observation",
+    "Decision", "pairwise_half_difference",
     # classifiers
     "ClassifierKind", "LinearRule", "minimax_linear_rule", "MinDistanceClassifier",
     "GlrtClassifier", "MinimaxLinearClassifier", "PairwiseRobustLinearClassifier",

@@ -23,7 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HypothesisModel, TwoLevelProfile, pairwise_half_difference
+from .classifiers import GlrtClassifier, per_coordinate_cost_difference
+from .model import (
+    AttackMode,
+    AttackSpec,
+    HypothesisModel,
+    TwoLevelProfile,
+    pairwise_half_difference,
+)
 from .numerics import gaussian_pdf, q_function, truncated_gaussian_moment
 from .rng import block_plan, noise_block
 
@@ -316,8 +323,6 @@ def sigma_for_target_error(
             return est.value, 0.0
     else:
         from .engine import monte_carlo_error
-        from .classifiers import GlrtClassifier
-        from .model import AttackMode, AttackSpec
 
         def err(sigma: float) -> tuple[float, float]:
             m = profile.to_model(sigma)
@@ -414,9 +419,7 @@ def _sample_cost_moments(mu, eps, kappa, sigma, trials, seed):
     s1 = s2 = s3 = s4 = 0.0
     for b, _, rows in block_plan(trials):
         noise = sigma * noise_block(seed, b, rows, 1)[:, 0]
-        wrong = np.maximum(0.0, np.abs(2.0 * abs(mu) + noise - kappa) - eps)
-        true = np.maximum(0.0, np.abs(noise - kappa) - eps)
-        c = wrong * wrong - true * true
+        c = per_coordinate_cost_difference(abs(mu), noise, -kappa, eps)
         n += rows
         s1 += c.sum()
         s2 += (c * c).sum()

@@ -19,6 +19,7 @@ from .classifiers import (
     GlrtClassifier,
     MinDistanceClassifier,
     MinimaxLinearClassifier,
+    per_coordinate_cost_difference,
 )
 from .model import HypothesisModel, pairwise_half_difference
 from .rng import block_plan, noise_block
@@ -32,6 +33,7 @@ __all__ = [
     "nn_class_min_distance",
     "nn_class_glrt",
     "heuristic_agnostic_attack",
+    "noise_aware_labels",
     "noise_aware_attack",
     "brute_force_attack_oracle",
 ]
@@ -190,6 +192,39 @@ def heuristic_agnostic_attack(
     return AttackResult(vector=_assert_budget(vector, eps), feasible=True, target_class=nn.target)
 
 
+def noise_aware_labels(
+    model: HypothesisModel,
+    classifier,
+    base: np.ndarray,
+    true_class: int,
+    strength: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decisions under the optimal noise-aware attack, one row per noise draw.
+
+    base holds the unattacked observations mu_true + N, shape (n, d).
+    Knowing the noise realization, the adversary replays each of the M-1
+    binary sign attacks through the classifier and takes the first (lowest
+    candidate index) that makes the decision leave the true class; REJECT
+    counts as leaving. Rows where none works fall back to the zero attack.
+    Returns (labels, targets): the decision under the chosen attack, and
+    the competing class it steers toward, or -1 for the zero attack.
+    """
+    j = model.check_class(true_class)
+    labels = np.full(base.shape[0], j, dtype=np.int64)
+    targets = np.full(base.shape[0], -1, dtype=np.int64)
+    for k in range(model.num_classes):
+        if k == j:
+            continue
+        flipped = classifier.decide_batch(base + binary_sign_attack(model, j, k, strength))
+        newly = (flipped != j) & (targets < 0)
+        labels[newly] = flipped[newly]
+        targets[newly] = k
+    undecided = targets < 0
+    if undecided.any():
+        labels[undecided] = classifier.decide_batch(base[undecided])
+    return labels, targets
+
+
 def noise_aware_attack(
     model: HypothesisModel,
     classifier,
@@ -199,25 +234,21 @@ def noise_aware_attack(
 ) -> AttackResult:
     """Optimal noise-aware attack of the given l-infinity magnitude.
 
-    Knowing the noise realization, the adversary replays each of the M-1
-    binary sign attacks through the classifier and takes the first (lowest
-    candidate index) that makes the decision leave the true class; REJECT
-    counts as leaving. If none works, misclassification is not achievable
-    with this procedure and the zero attack is returned with feasible
-    False.
+    The one-row view of `noise_aware_labels`. If no sign attack leaves the
+    true class, misclassification is not achievable with this procedure
+    and the zero attack is returned with feasible False.
     """
-    j = model.check_class(true_class)
     noise = np.asarray(observation_noise, dtype=float)
     if noise.shape != (model.dim,):
         raise ValueError(f"noise must have shape ({model.dim},), got {noise.shape}")
-    base = model.means[j] + noise
-    for k in range(model.num_classes):
-        if k == j:
-            continue
-        e = binary_sign_attack(model, j, k, strength)
-        if int(classifier.decide_batch(base + e)[0]) != j:
-            return AttackResult(vector=_assert_budget(e, strength), feasible=True, target_class=k)
-    return AttackResult(vector=np.zeros(model.dim), feasible=False, target_class=None)
+    j = model.check_class(true_class)
+    _, targets = noise_aware_labels(model, classifier, model.means[j] + noise[None, :], j, strength)
+    k = int(targets[0])
+    if k < 0:
+        return AttackResult(vector=np.zeros(model.dim), feasible=False, target_class=None)
+    return AttackResult(
+        vector=binary_sign_attack(model, j, k, strength), feasible=True, target_class=k
+    )
 
 
 @dataclass(frozen=True)
@@ -329,10 +360,10 @@ def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     for i, axis in enumerate(axes):
         v = axis[:, None] + noise[None, :, i]  # e + N, shape (g, trials)
         if isinstance(classifier, GlrtClassifier):
-            eps_c = classifier.eps
-            wrong = np.maximum(0.0, np.abs(delta[i] + v) - eps_c)
-            true = np.maximum(0.0, np.abs(v) - eps_c)
-            tables.append(wrong * wrong - true * true)
+            tables.append(
+                per_coordinate_cost_difference(delta[i] / 2.0, noise[:, i], axis[:, None],
+                                               classifier.eps)
+            )
         elif isinstance(classifier, MinDistanceClassifier):
             tables.append(delta[i] * (delta[i] + 2.0 * v))
         else:  # minimax linear: oriented statistic, positive favors class j

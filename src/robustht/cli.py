@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a JSON experiment config")
     p.add_argument("config", type=Path)
     common(p)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, seed=None)  # no --seed: keep the config's
 
     p = sub.add_parser("predict", help="analytic error estimates, no sampling")
     _profile_flags(p)
@@ -187,7 +187,7 @@ def _warn_nonuniform(model: HypothesisModel) -> None:
 
 def _cmd_simulate(args) -> int:
     raw = json.loads(args.config.read_text())
-    if args.seed != 0:
+    if args.seed is not None:
         raw["seed"] = args.seed
     if args.trials is not None:
         raw["trials"] = args.trials
@@ -281,7 +281,7 @@ def _cmd_surface(args) -> int:
     surface = brute_force_attack_oracle(
         model, classifier, args.true_class, args.eps,
         grid_points_per_axis=args.grid,
-        trials=args.trials or 10_000,
+        trials=args.trials if args.trials is not None else 10_000,
         seed=args.seed,
         threads=args.threads,
     )
@@ -351,7 +351,7 @@ def _cmd_sigma_search(args) -> int:
     sigma = sigma_for_target_error(
         profile, args.kappa, args.target,
         method=args.method,
-        trials=args.trials or 200_000,
+        trials=args.trials if args.trials is not None else 200_000,
         seed=args.seed,
     )
     with _open_out(args) as fh:

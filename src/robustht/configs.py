@@ -91,15 +91,15 @@ class SurfaceRecipe:
     seed: int
 
 
-def _fig2(trials, seed):
+def _fig2(seed, trials=1_000_000):
     return MomentStudyRecipe(
         mus=tuple(np.round(np.arange(0.0, 3.0 + 1e-9, 0.25), 10)),
         eps=1.0, kappa=1.0, sigma=1.0,
-        trials=trials or 1_000_000, seed=seed,
+        trials=trials, seed=seed,
     )
 
 
-def _fig3(trials, seed):
+def _fig3(seed, trials=100_000):
     return ExperimentConfig(
         profile=TwoLevelProfile(d=20, p=0.1, a=1.1, b=0.9, eps=1.0),
         sigma=1.0,
@@ -109,12 +109,12 @@ def _fig3(trials, seed):
         attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC],
         sweep_axis=SWEEP_KAPPA,
         sweep_values=[round(0.1 * i, 10) for i in range(11)],
-        trials=trials or 100_000,
+        trials=trials,
         seed=seed,
     )
 
 
-def _fig4(trials, seed):
+def _fig4(seed, trials=100_000):
     # the published curves do not list the (eps/sigma)^2 grid or the attack
     # strengths; these cover the plotted range at reasonable density
     return ExperimentConfig(
@@ -126,12 +126,12 @@ def _fig4(trials, seed):
         sweep_axis=SWEEP_EPS_OVER_SIGMA_SQ,
         sweep_values=[1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0],
         kappas=[0.0, 0.5, 0.8, 1.0],
-        trials=trials or 100_000,
+        trials=trials,
         seed=seed,
     )
 
 
-def _fig5(trials, seed):
+def _fig5(seed, trials=1_000_000):
     # two convergence studies: full-strength attack at error Q(sqrt(5)),
     # weakened attack at error Q(sqrt(8))
     configs = []
@@ -146,38 +146,38 @@ def _fig5(trials, seed):
                 sweep_values=[50, 100, 200, 400],
                 kappas=[kappa],
                 target_error=q_function(math.sqrt(snr)),
-                trials=trials or 1_000_000,
+                trials=trials,
                 seed=seed,
             )
         )
     return configs
 
 
-def _fig6(trials, seed):
+def _fig6(seed, trials=10_000):
     return SurfaceRecipe(
         model=ternary_2d_model(),
         classifier=ClassifierKind.GLRT,
         true_class=0,
         eps=1.0,
         grid_points_per_axis=41,
-        trials=trials or 10_000,
+        trials=trials,
         seed=seed,
     )
 
 
-def _fig7(trials, seed):
+def _fig7(seed, trials=10_000):
     return SurfaceRecipe(
         model=ternary_2d_model(),
         classifier=ClassifierKind.PAIRWISE_ROBUST_LINEAR,
         true_class=0,
         eps=1.0,
         grid_points_per_axis=41,
-        trials=trials or 10_000,
+        trials=trials,
         seed=seed,
     )
 
 
-def _fig8(trials, seed):
+def _fig8(seed, trials=100_000):
     return ExperimentConfig(
         model=ternary_20d_model(),
         eps=1.0,
@@ -186,7 +186,7 @@ def _fig8(trials, seed):
         attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL],
         sweep_axis=SWEEP_KAPPA,
         sweep_values=[round(0.1 * i, 10) for i in range(11)],
-        trials=trials or 100_000,
+        trials=trials,
         seed=seed,
     )
 
@@ -208,4 +208,4 @@ def figure_recipe(name: str, trials: int | None = None, seed: int = 0):
         builder = FIGURES[name]
     except KeyError:
         raise ValueError(f"unknown figure {name!r}; available: {sorted(FIGURES)}") from None
-    return builder(trials, seed)
+    return builder(seed) if trials is None else builder(seed, trials)

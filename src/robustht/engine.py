@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -26,7 +27,7 @@ from .analysis import (
     clt_error,
     sigma_for_target_error,
 )
-from .attacks import heuristic_agnostic_attack
+from .attacks import heuristic_agnostic_attack, noise_aware_labels
 from .classifiers import ClassifierKind, build_classifier
 from .model import (
     REJECT,
@@ -99,59 +100,60 @@ def _attack_plan(model, classifier, spec: AttackSpec, true_class: int):
 def _count_block(model, classifier, plan, true_class, z_block, sigma) -> TrialCounts:
     """Tally errors and rejects on one block of standard normal draws."""
     j = true_class
-    base = model.means[j] + sigma * z_block
-    rows = z_block.shape[0]
+    # mu_j + sigma * z, built in place so that one (rows, d) array is live per task
+    base = sigma * z_block
+    base += model.means[j]
     if plan[0] == "fixed":
-        labels = classifier.decide_batch(base + plan[1])
-        wrong = labels != j
-        rejected = labels == REJECT
-        return TrialCounts(int(wrong.sum()), int(rejected.sum()), rows)
-
-    # noise-aware: replay each binary sign attack; first flip wins, and
-    # undecided trials fall back to the zero attack
-    strength = plan[1]
-    wrong = np.zeros(rows, dtype=bool)
-    rejected = np.zeros(rows, dtype=bool)
-    undecided = np.ones(rows, dtype=bool)
-    for k in range(model.num_classes):
-        if k == j:
-            continue
-        e = -strength * np.sign(model.means[j] - model.means[k])
-        labels = classifier.decide_batch(base + e)
-        flips = labels != j
-        newly = flips & undecided
-        rejected |= newly & (labels == REJECT)
-        wrong |= flips
-        undecided &= ~flips
-    if undecided.any():
-        labels = classifier.decide_batch(base[undecided])
-        wrong[undecided] = labels != j
-        rejected[undecided] = labels == REJECT
-    return TrialCounts(int(wrong.sum()), int(rejected.sum()), rows)
+        base += plan[1]
+        labels = classifier.decide_batch(base)
+    else:
+        labels, _ = noise_aware_labels(model, classifier, base, j, plan[1])
+    return TrialCounts(int((labels != j).sum()), int((labels == REJECT).sum()), z_block.shape[0])
 
 
-def _conditional_counts(
-    model, classifier, attack: AttackSpec, true_class: int, trials: int, seed: int,
-    sigma: float | None = None, threads: int = 1,
-) -> TrialCounts:
-    sigma = model.sigma if sigma is None else sigma
-    plan = _attack_plan(model, classifier, attack, true_class)
+def _monte_carlo_cells(model, cells, true_class, trials, seed, threads) -> list[tuple]:
+    """(error, ci, reject_rate) of each (classifier, AttackSpec, sigma) cell.
 
-    def one(block_spec):
+    The one place where Monte Carlo noise is drawn: each block is drawn
+    once and every cell and true class is tallied on it, so all cells
+    share common random numbers. true_class picks a class-conditional
+    error; None weights the class-conditional errors with the priors.
+    """
+    blocks = list(block_plan(trials))
+    classes = [true_class] if true_class is not None else range(model.num_classes)
+    tasks = [
+        (classifier, _attack_plan(model, classifier, spec, j), j, sigma)
+        for classifier, spec, sigma in cells
+        for j in classes
+    ]
+
+    def run_block(block_spec):
         b, _, rows = block_spec
         z = noise_block(seed, b, rows, model.dim)
-        return _count_block(model, classifier, plan, true_class, z, sigma)
+        return [_count_block(model, clf, plan, j, z, sigma) for clf, plan, j, sigma in tasks]
 
-    total = TrialCounts()
-    blocks = list(block_plan(trials))
+    totals = [TrialCounts() for _ in tasks]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for counts in pool.map(one, blocks):
-                total.merge(counts)
+            tallies = list(pool.map(run_block, blocks))
     else:
-        for spec in blocks:
-            total.merge(one(spec))
-    return total
+        tallies = map(run_block, blocks)
+    for block_counts in tallies:
+        for total, counts in zip(totals, block_counts):
+            total.merge(counts)
+
+    out = []
+    per_cell = iter(totals)
+    for _ in cells:
+        err = rej = var = 0.0
+        for j in classes:
+            counts = next(per_cell)
+            w = 1.0 if true_class is not None else float(model.priors[j])
+            err += w * counts.error_rate
+            rej += w * counts.reject_rate
+            var += (w * counts.ci_halfwidth()) ** 2
+        out.append((err, math.sqrt(var), rej))
+    return out
 
 
 def monte_carlo_error(
@@ -169,31 +171,12 @@ def monte_carlo_error(
     class-conditional errors with the model's priors (all classes reuse
     the same noise draws).
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
     if true_class is not None:
-        counts = _conditional_counts(
-            model, classifier, attack, model.check_class(true_class), trials, seed,
-            threads=threads,
-        )
-        return ErrorEstimate(
-            value=counts.error_rate,
-            method=METHOD_MONTE_CARLO,
-            ci_halfwidth=counts.ci_halfwidth(),
-            trials=trials,
-        )
-    value = 0.0
-    var = 0.0
-    for j in range(model.num_classes):
-        counts = _conditional_counts(
-            model, classifier, attack, j, trials, seed, threads=threads
-        )
-        w = model.priors[j]
-        value += w * counts.error_rate
-        var += (w * counts.ci_halfwidth()) ** 2
-    return ErrorEstimate(
-        value=value, method=METHOD_MONTE_CARLO, ci_halfwidth=math.sqrt(var), trials=trials
+        true_class = model.check_class(true_class)
+    [(value, ci, _)] = _monte_carlo_cells(
+        model, [(classifier, attack, model.sigma)], true_class, trials, seed, threads
     )
+    return ErrorEstimate(value=value, method=METHOD_MONTE_CARLO, ci_halfwidth=ci, trials=trials)
 
 
 # --------------------------------------------------------------------------
@@ -257,10 +240,20 @@ class ExperimentConfig:
                 raise ConfigError("sweep.axis=dimension requires target_error")
             if any(int(v) != v or v < 1 for v in self.sweep_values):
                 raise ConfigError("sweep.values: dimensions must be positive integers")
-        elif self.model is None and self.sigma is None and self.sweep_axis != SWEEP_EPS_OVER_SIGMA_SQ:
+            if len(self.kappas) != 1:
+                raise ConfigError(f"kappas: the dimension axis takes one value, got {self.kappas}")
+        elif self.sweep_axis == SWEEP_EPS_OVER_SIGMA_SQ:
+            for value in self.sweep_values:
+                if not value > 0:
+                    raise ConfigError(f"sweep.values: (eps/sigma)^2 must be > 0, got {value}")
+        elif self.model is None and self.sigma is None:
             raise ConfigError("sigma: required when sweeping a profile over kappa")
         for kappa in self.kappas:
-            if kappa is not None and not 0 <= kappa <= self.eps + 1e-12:
+            if kappa is None:
+                continue
+            if not isinstance(kappa, numbers.Real):
+                raise ConfigError(f"kappas: each must be a number, got {kappa!r}")
+            if not 0 <= kappa <= self.eps + 1e-12:
                 raise ConfigError(f"kappas: each must lie in [0, eps], got {kappa}")
 
     def resolved_model(self) -> HypothesisModel:
@@ -413,68 +406,28 @@ def _run_shared_noise_sweep(config, threads) -> list[dict]:
     model = config.resolved_model()
     classifiers = {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
     cells = _cells_for(config)
-    true_classes = (
-        [config.true_class] if config.true_class is not None else list(range(model.num_classes))
-    )
 
     def sigma_for(value) -> float:
         if config.sweep_axis == SWEEP_EPS_OVER_SIGMA_SQ:
-            if value <= 0:
-                raise ConfigError(f"sweep.values: (eps/sigma)^2 must be > 0, got {value}")
             return config.eps / math.sqrt(value)
         return model.sigma
 
-    # fixed attack vectors are reused across blocks; aware plans are cheap
-    plans = {}
-    for value, kind, mode, kappa in cells:
-        for j in true_classes:
-            spec = _spec_for(config.eps, mode, kappa)
-            plans[(value, kind, mode, kappa, j)] = _attack_plan(
-                model, classifiers[kind], spec, j
-            )
-
-    def run_block(block_spec):
-        b, _, rows = block_spec
-        z = noise_block(config.seed, b, rows, model.dim)
-        tallies = {}
-        for key, plan in plans.items():
-            value, kind, _, _, j = key
-            tallies[key] = _count_block(
-                model, classifiers[kind], plan, j, z, sigma_for(value)
-            )
-        return tallies
-
-    totals = {key: TrialCounts() for key in plans}
-    blocks = list(block_plan(config.trials))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for tallies in pool.map(run_block, blocks):
-                for key, counts in tallies.items():
-                    totals[key].merge(counts)
-    else:
-        for spec in blocks:
-            for key, counts in run_block(spec).items():
-                totals[key].merge(counts)
-
-    rows = []
-    for value, kind, mode, kappa in cells:
-        err = 0.0
-        rej = 0.0
-        var = 0.0
-        for j in true_classes:
-            counts = totals[(value, kind, mode, kappa, j)]
-            w = 1.0 if config.true_class is not None else float(model.priors[j])
-            err += w * counts.error_rate
-            rej += w * counts.reject_rate
-            var += (w * counts.ci_halfwidth()) ** 2
-        rows.append(
-            _make_row(
-                config, value, kind, mode, kappa,
-                error=err, ci=math.sqrt(var),
-                reject_rate=rej if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR else None,
-            )
+    estimates = _monte_carlo_cells(
+        model,
+        [
+            (classifiers[kind], _spec_for(config.eps, mode, kappa), sigma_for(value))
+            for value, kind, mode, kappa in cells
+        ],
+        config.true_class, config.trials, config.seed, threads,
+    )
+    return [
+        _make_row(
+            config, value, kind, mode, kappa,
+            error=err, ci=ci,
+            reject_rate=rej if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR else None,
         )
-    return rows
+        for (value, kind, mode, kappa), (err, ci, rej) in zip(cells, estimates)
+    ]
 
 
 def _spec_for(eps: float, mode: AttackMode, kappa: float) -> AttackSpec:
@@ -501,21 +454,20 @@ def _run_dimension_sweep(config, threads, row_sink=None) -> list[dict]:
             method=config.calibration_method, seed=config.seed,
         )
         model = profile.to_model(sigma)
+        classifiers = {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
+        estimates = iter(_monte_carlo_cells(
+            model,
+            [
+                (classifiers[kind], _spec_for(config.eps, mode, kappa), sigma)
+                for kind in config.classifiers
+                for mode in config.attack_modes
+            ],
+            config.true_class, config.trials, config.seed, threads,
+        ))
         for kind in config.classifiers:
-            classifier = build_classifier(kind, model, config.eps)
             for mode in config.attack_modes:
-                spec = _spec_for(config.eps, mode, kappa)
-                est = monte_carlo_error(
-                    model, classifier, spec,
-                    true_class=config.true_class, trials=config.trials,
-                    seed=config.seed, threads=threads,
-                )
-                emit(
-                    _make_row(
-                        config, d, kind, mode, kappa,
-                        error=est.value, ci=est.ci_halfwidth,
-                    )
-                )
+                err, ci, _ = next(estimates)
+                emit(_make_row(config, d, kind, mode, kappa, error=err, ci=ci))
             if kind is ClassifierKind.GLRT:
                 # the analytic estimate models the agnostic sign attack
                 pred = clt_error(model, config.eps, kappa)
@@ -576,6 +528,10 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     except ValueError as exc:
         raise ConfigError(f"attack_modes: {exc}") from exc
 
+    kappas = raw.get("kappas", [None])
+    if not isinstance(kappas, list):
+        raise ConfigError(f"kappas: expected a list, got {kappas!r}")
+
     sweep = need("sweep")
     if not isinstance(sweep, dict) or "axis" not in sweep or "values" not in sweep:
         raise ConfigError("sweep: expected an object with 'axis' and 'values'")
@@ -591,7 +547,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         model=model,
         profile=profile,
         sigma=float(raw["sigma"]) if "sigma" in raw else None,
-        kappas=list(raw.get("kappas", [None])),
+        kappas=kappas,
         true_class=int(raw["true_class"]) if raw.get("true_class") is not None else None,
         target_error=float(raw["target_error"]) if "target_error" in raw else None,
         calibration_method=str(raw.get("calibration_method", METHOD_CLT_EXACT)),

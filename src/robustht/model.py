@@ -1,4 +1,4 @@
-"""Problem-instance data model: hypotheses, attacks, observations, decisions.
+"""Problem-instance data model: hypotheses, attacks and decisions.
 
 The observation model is X = mu_k + e + N with N ~ Normal(0, sigma^2 I),
 where e is an l-infinity bounded perturbation chosen by the adversary.
@@ -17,10 +17,8 @@ __all__ = [
     "TwoLevelProfile",
     "AttackMode",
     "AttackSpec",
-    "Observation",
     "Decision",
     "pairwise_half_difference",
-    "generate_observation",
 ]
 
 #: Sentinel label for a pairwise-robust classifier that finds no clear winner.
@@ -194,20 +192,6 @@ class AttackSpec:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """A received sample together with the ground truth that produced it.
-
-    The noise realization is retained because noise-aware adversaries
-    condition on it. x = means[true_class] + applied attack + noise holds
-    by construction.
-    """
-
-    x: np.ndarray
-    true_class: int
-    noise: np.ndarray
-
-
-@dataclass(frozen=True)
 class Decision:
     """Classifier output: a label (or REJECT) plus optional per-class costs."""
 
@@ -227,23 +211,3 @@ def pairwise_half_difference(model: HypothesisModel, j: int, k: int) -> np.ndarr
         raise ValueError(f"need two distinct classes, got j = k = {j}")
     return (model.means[j] - model.means[k]) / 2.0
 
-
-def generate_observation(
-    model: HypothesisModel,
-    true_class: int,
-    attack_vector,
-    rng: np.random.Generator,
-    budget: float | None = None,
-) -> Observation:
-    """Draw X = mu_k + e + N with N ~ Normal(0, sigma^2 I) from rng.
-
-    If budget is given, the attack vector is validated against it first.
-    """
-    k = model.check_class(true_class)
-    e = np.zeros(model.dim) if attack_vector is None else np.asarray(attack_vector, dtype=float)
-    if e.shape != (model.dim,):
-        raise ValueError(f"attack vector must have shape ({model.dim},), got {e.shape}")
-    if budget is not None and np.max(np.abs(e), initial=0.0) > budget + 1e-12:
-        raise ValueError("attack vector exceeds the l-infinity budget")
-    noise = model.sigma * rng.standard_normal(model.dim)
-    return Observation(x=model.means[k] + e + noise, true_class=k, noise=noise)

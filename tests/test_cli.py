@@ -58,6 +58,17 @@ class TestReproduce:
         assert lines[0].startswith("mu,c_mean_exact,c_var_exact")
         assert len(lines) == 1 + 13  # mu grid 0:0.25:3
 
+    @pytest.mark.parametrize("figure", ["fig2", "fig8"])
+    def test_zero_trials_rejected(self, tmp_path, figure):
+        out = tmp_path / "out.csv"
+        r = run_cli("reproduce", figure, "--trials", "0", "--out", str(out))
+        assert r.returncode == 1
+        err = json.loads(r.stderr.splitlines()[-1])
+        assert err["error"] == "validation"
+        assert "trials" in err["message"]
+        # nothing past a header was written
+        assert not out.exists() or len(out.read_text().splitlines()) <= 1
+
     def test_unknown_figure_rejected(self):
         r = run_cli("reproduce", "fig9")
         assert r.returncode == 2  # argparse exits with its own code
@@ -104,6 +115,15 @@ class TestSimulate:
                     "--format", "json")
         payload = json.loads(r.stdout)
         assert payload["metadata"]["trials"] == 100
+
+    def test_seed_zero_overrides_config_seed(self, tmp_path):
+        path = self.config(tmp_path)
+        raw = json.loads(path.read_text())
+        path.write_text(json.dumps({**raw, "seed": 5}))
+        r = run_cli("simulate", str(path), "--seed", "0")
+        assert r.returncode == 0, r.stderr
+        rows = r.stdout.splitlines()[1:]
+        assert rows and all(row.endswith(",0") for row in rows)
 
     def test_validation_failure_exit_code(self, tmp_path):
         path = tmp_path / "bad.json"

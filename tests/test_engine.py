@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import robustht.engine
 from robustht.analysis import METHOD_CLT_EXACT, METHOD_MONTE_CARLO
 from robustht.classifiers import (
     ClassifierKind,
@@ -110,6 +111,14 @@ class TestMonteCarloError:
         assert single.value == multi.value
         assert single.ci_halfwidth == multi.ci_halfwidth
 
+    def test_dimension_sweep_thread_count_invariance(self):
+        config = dimension_sweep_config(
+            classifiers=[ClassifierKind.GLRT, ClassifierKind.MIN_DISTANCE],
+            attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL],
+            trials=2 * BLOCK_SIZE + 5,
+        )
+        assert run_experiment(config, threads=1).rows == run_experiment(config, threads=2).rows
+
     def test_prior_weighted_combination(self):
         m = HypothesisModel(
             means=np.array([[1.0, 0.0], [-1.0, 0.5], [0.0, -1.0]]),
@@ -148,6 +157,38 @@ class TestMonteCarloError:
                               true_class=0, trials=0)
 
 
+class TestSingleDraw:
+    """Each noise block is drawn once, whatever the classes and cells on it."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        calls = []
+        real = robustht.engine.noise_block
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(robustht.engine, "noise_block", counted)
+        return calls
+
+    def test_prior_weighted_error(self, draws):
+        m = binary([1.0, 0.5], sigma=0.9)
+        attack = AttackSpec(budget=0.6, strength=0.6,
+                            mode=AttackMode.NOISE_AGNOSTIC_HEURISTIC)
+        monte_carlo_error(m, GlrtClassifier(m, eps=0.6), attack, true_class=None,
+                          trials=3 * BLOCK_SIZE, seed=1)
+        assert sorted(b for _, b, _, _ in draws) == [0, 1, 2]
+
+    def test_dimension_sweep(self, draws):
+        config = dimension_sweep_config(
+            attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NONE],
+            trials=1000,
+        )
+        run_experiment(config)
+        assert [(b, dim) for _, b, _, dim in draws] == [(0, 20), (0, 40)]
+
+
 class TestTrialCounts:
     def test_merge_and_rates(self):
         a = TrialCounts(errors=10, rejects=2, trials=100)
@@ -171,6 +212,23 @@ def kappa_sweep_config(trials=20_000, seed=5, **overrides):
         sweep_values=[0.0, 0.5, 1.0],
         trials=trials,
         seed=seed,
+    )
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def dimension_sweep_config(**overrides):
+    base = dict(
+        profile=TwoLevelProfile(d=20, p=0.1, a=1.1, b=0.9, eps=1.0),
+        eps=1.0,
+        classifiers=[ClassifierKind.GLRT],
+        attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC],
+        sweep_axis="dimension",
+        sweep_values=[20, 40],
+        kappas=[1.0],
+        target_error=0.1,
+        trials=20_000,
+        seed=2,
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -233,19 +291,7 @@ class TestRunExperiment:
         assert by_kind["glrt"]["reject_rate"] is None
 
     def test_dimension_sweep_emits_prediction_rows(self):
-        config = ExperimentConfig(
-            profile=TwoLevelProfile(d=20, p=0.1, a=1.1, b=0.9, eps=1.0),
-            eps=1.0,
-            classifiers=[ClassifierKind.GLRT],
-            attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC],
-            sweep_axis="dimension",
-            sweep_values=[20, 40],
-            kappas=[1.0],
-            target_error=0.1,
-            trials=20_000,
-            seed=2,
-        )
-        rows = run_experiment(config).rows
+        rows = run_experiment(dimension_sweep_config()).rows
         mc = [r for r in rows if r["method"] == METHOD_MONTE_CARLO]
         clt = [r for r in rows if r["method"] == METHOD_CLT_EXACT]
         assert len(mc) == 2 and len(clt) == 2
@@ -296,6 +342,27 @@ class TestConfigValidation:
         config = kappa_sweep_config(sweep_axis="dimension", sweep_values=[10, 20])
         with pytest.raises(ConfigError, match="target_error"):
             config.validate()
+
+    def test_dimension_axis_takes_one_kappa(self):
+        with pytest.raises(ConfigError, match="kappas"):
+            dimension_sweep_config(kappas=[0.5, 1.0]).validate()
+
+    def test_nonpositive_eps_over_sigma_sq(self):
+        for value in (0.0, -1.0):
+            config = kappa_sweep_config(sigma=None, sweep_axis="eps_over_sigma_sq",
+                                        sweep_values=[1.0, value])
+            with pytest.raises(ConfigError, match="sweep.values"):
+                config.validate()
+
+    def test_from_dict_non_numeric_kappas(self):
+        raw = {
+            "profile": {"d": 10, "p": 0.1, "a": 2, "b": 0.5, "eps": 1.0},
+            "eps": 1.0, "classifiers": ["glrt"],
+            "sweep": {"axis": "eps_over_sigma_sq", "values": [1.0]},
+        }
+        for kappas in (["strong"], 0.5):
+            with pytest.raises(ConfigError, match="kappas"):
+                ExperimentConfig.from_dict({**raw, "kappas": kappas})
 
     def test_from_dict_round_trip(self):
         raw = {

@@ -6,7 +6,6 @@ from robustht.model import (
     AttackSpec,
     HypothesisModel,
     TwoLevelProfile,
-    generate_observation,
     pairwise_half_difference,
 )
 
@@ -134,51 +133,3 @@ class TestAttackSpec:
         spec = AttackSpec.none()
         assert spec.mode is AttackMode.NONE
         assert spec.strength == 0.0
-
-
-class TestGenerateObservation:
-    def test_composition_invariant_exact(self):
-        m = ternary()
-        rng = np.random.default_rng(2)
-        e = np.array([0.3, -0.2])
-        obs = generate_observation(m, 1, e, rng, budget=0.5)
-        np.testing.assert_array_equal(obs.x, m.means[1] + e + obs.noise)
-        assert obs.true_class == 1
-
-    def test_degenerate_noise_returns_mean(self):
-        m = HypothesisModel(means=np.array([[1.0, -2.0], [3.0, 4.0]]), sigma=1e-300)
-        obs = generate_observation(m, 0, None, np.random.default_rng(0))
-        np.testing.assert_array_equal(obs.x, m.means[0])
-
-    def test_seed_determinism(self):
-        m = ternary()
-        a = generate_observation(m, 2, None, np.random.default_rng(99))
-        b = generate_observation(m, 2, None, np.random.default_rng(99))
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.noise, b.noise)
-
-    def test_budget_violation_rejected(self):
-        m = ternary()
-        with pytest.raises(ValueError, match="budget"):
-            generate_observation(m, 0, np.array([2.0, 0.0]), np.random.default_rng(0),
-                                 budget=1.0)
-
-    def test_dimension_mismatch_rejected(self):
-        m = ternary()
-        with pytest.raises(ValueError, match="shape"):
-            generate_observation(m, 0, np.array([1.0]), np.random.default_rng(0))
-
-    def test_empirical_noise_variance(self):
-        # pooled per-coordinate variance over 1e6 sampled coordinates
-        sigma = 0.7
-        m = HypothesisModel(
-            means=np.stack([np.zeros(100), np.ones(100)]), sigma=sigma
-        )
-        rng = np.random.default_rng(31415)
-        draws = np.concatenate(
-            [generate_observation(m, 0, None, rng).noise for _ in range(10_000)]
-        )
-        n = draws.size
-        sample_var = draws.var()
-        se = sigma**2 * np.sqrt(2.0 / n)
-        assert abs(sample_var - sigma**2) < 3 * se
