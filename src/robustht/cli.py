@@ -13,8 +13,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import configs
 from .analysis import (
     METHOD_CLT_EXACT,
@@ -34,8 +32,8 @@ from .engine import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
-    ExperimentResult,
     format_row,
+    model_from_dict,
     run_experiment,
 )
 from .model import AttackMode, HypothesisModel, TwoLevelProfile
@@ -73,16 +71,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--trials", type=int, default=None, help="Monte Carlo trials")
-        p.add_argument("--out", type=Path, default=None, help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
+    def flags(p, *names):
+        """Add the shared output and sampling flags that the subcommand reads."""
+        specs = {
+            "seed": dict(type=int, default=0, help="base RNG seed"),
+            "trials": dict(type=int, default=None, help="Monte Carlo trials"),
+            "out": dict(type=Path, default=None, help="output file (default stdout)"),
+            "format": dict(choices=("csv", "json"), default="csv"),
+            "threads": dict(type=int, default=1, help="worker threads"),
+        }
+        for name in names:
+            p.add_argument(f"--{name}", **specs[name])
 
     p = sub.add_parser("simulate", help="run a JSON experiment config")
     p.add_argument("config", type=Path)
-    common(p)
+    flags(p, "seed", "trials", "out", "format", "threads")
     p.set_defaults(func=_cmd_simulate, seed=None)  # no --seed: keep the config's
 
     p = sub.add_parser("predict", help="analytic error estimates, no sampling")
@@ -90,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--kappa", type=_float_list, default=[1.0],
                    help="comma-separated attack strengths")
-    common(p)
+    flags(p, "seed", "out", "format")
     p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("attack-surface", help="brute-force error surface (d <= 3)")
@@ -101,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--true-class", type=int, default=0)
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--grid", type=int, default=41, help="grid points per axis")
-    common(p)
+    flags(p, "seed", "trials", "out", "format", "threads")
     p.set_defaults(func=_cmd_surface)
 
     p = sub.add_parser("nn-class", help="nearest-neighbor class tables")
@@ -109,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--kappa", type=float, default=None,
                    help="employed strength (defaults to eps)")
-    common(p)
+    flags(p, "out")
     p.set_defaults(func=_cmd_nn_class)
 
     p = sub.add_parser("sigma-search", help="noise level hitting a target error")
@@ -118,12 +121,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, required=True)
     p.add_argument("--method", choices=(METHOD_CLT_EXACT, METHOD_MONTE_CARLO),
                    default=METHOD_CLT_EXACT)
-    common(p)
+    flags(p, "seed", "trials", "out")
     p.set_defaults(func=_cmd_sigma_search)
 
     p = sub.add_parser("reproduce", help="built-in figure recipes")
     p.add_argument("figure", choices=sorted(configs.FIGURES))
-    common(p)
+    flags(p, "seed", "trials", "out", "format", "threads")
     p.set_defaults(func=_cmd_reproduce)
 
     return parser
@@ -150,14 +153,29 @@ def _open_out(args):
             yield fh
 
 
-def _write_result(result: ExperimentResult, args) -> None:
-    with _open_out(args) as fh:
-        if args.format == "json":
-            fh.write(result.to_json() + "\n")
-        else:
-            result.write_csv(fh)
+def _write_rows(args, header, csv_row, run) -> None:
+    """Write the rows that run(sink) passes to sink, then the metadata it returns.
+
+    CSV: the header, then each row, flushed as it arrives. JSON: one
+    {"metadata", "rows"} object, written at the end. With --out, the
+    metadata also goes to the sidecar.
+    """
+    if args.format == "json":
+        rows = []
+        metadata = run(rows.append)
+        with _open_out(args) as fh:
+            fh.write(json.dumps({"metadata": metadata, "rows": rows}, indent=2) + "\n")
+    else:
+        with _open_out(args) as fh:
+            fh.write(header + "\n")
+
+            def sink(row):
+                fh.write(csv_row(row) + "\n")
+                fh.flush()
+
+            metadata = run(sink)
     if args.out is not None:
-        _write_sidecar(args.out, result.metadata)
+        _write_sidecar(args.out, metadata)
 
 
 def _write_sidecar(out: Path, metadata: dict) -> None:
@@ -168,12 +186,7 @@ def _write_sidecar(out: Path, metadata: dict) -> None:
 def _load_model(spec: str) -> HypothesisModel:
     path = Path(spec)
     if path.exists():
-        raw = json.loads(path.read_text())
-        return HypothesisModel(
-            means=np.asarray(raw["means"], dtype=float),
-            sigma=float(raw["sigma"]),
-            priors=np.asarray(raw["priors"], dtype=float) if "priors" in raw else None,
-        )
+        return model_from_dict(json.loads(path.read_text()))
     return configs.builtin_model(spec)
 
 
@@ -193,69 +206,38 @@ def _cmd_simulate(args) -> int:
         raw["trials"] = args.trials
     config = ExperimentConfig.from_dict(raw)
     _warn_nonuniform(config.resolved_model())
-    _run_and_write([config], args, metadata_shape="single")
+    _write_rows(args, CSV_HEADER, format_row,
+                lambda sink: run_experiment(config, args.threads, sink).metadata)
     return _EXIT_OK
-
-
-def _run_and_write(configs_list, args, metadata_shape="single") -> None:
-    """Run experiment configs, streaming CSV rows to disk as they finish."""
-    stream_csv = args.format == "csv" and args.out is not None
-    results = []
-    if stream_csv:
-        with open(args.out, "w") as fh:
-            fh.write(CSV_HEADER + "\n")
-
-            def sink(row):
-                fh.write(format_row(row) + "\n")
-                fh.flush()
-
-            for config in configs_list:
-                results.append(run_experiment(config, threads=args.threads,
-                                              row_sink=sink))
-    else:
-        for config in configs_list:
-            results.append(run_experiment(config, threads=args.threads))
-    if metadata_shape == "single":
-        metadata = results[0].metadata
-    else:
-        metadata = {"configs": [r.metadata for r in results], "seed": args.seed}
-    combined = ExperimentResult(
-        rows=[row for r in results for row in r.rows], metadata=metadata
-    )
-    if stream_csv:
-        _write_sidecar(args.out, metadata)
-    else:
-        _write_result(combined, args)
 
 
 def _cmd_predict(args) -> int:
     profile = TwoLevelProfile(d=args.d, p=args.p, a=args.a, b=args.b, eps=args.eps)
     model = profile.to_model(args.sigma)
-    rows = []
-    for kappa in args.kappa:
-        snr_mm = snr_minimax(args.d, args.p, args.a, kappa / args.eps if args.eps else 0.0,
-                             args.eps, args.sigma)
-        rows.append(_predict_row(kappa, ClassifierKind.MINIMAX_LINEAR,
-                                 error_from_snr(snr_mm), METHOD_Q_OF_SNR, args.seed))
-        if 0 <= kappa <= args.eps:
-            exact = clt_error(model, args.eps, kappa)
-            lower = clt_error(model, args.eps, kappa, use_lower_bound=True)
-            ma = cost_difference_moments(args.a * args.eps, args.eps, kappa, args.sigma)
-            mb = cost_difference_moments(args.b * args.eps, args.eps, kappa, args.sigma)
-            rows.append(_predict_row(kappa, ClassifierKind.GLRT, exact.value,
-                                     exact.method, args.seed))
-            rows.append(_predict_row(kappa, ClassifierKind.GLRT, lower.value,
-                                     lower.method, args.seed))
-            rows.append(_predict_row(kappa, ClassifierKind.GLRT,
-                                     error_from_snr(snr_glrt(args.d, args.p, ma, mb))
-                                     if ma.mean * args.p + mb.mean * (1 - args.p) >= 0 else 0.5,
-                                     METHOD_Q_OF_SNR, args.seed))
-    result = ExperimentResult(
-        rows=rows,
-        metadata={"profile": {"d": args.d, "p": args.p, "a": args.a, "b": args.b,
-                              "eps": args.eps}, "sigma": args.sigma, "seed": args.seed},
-    )
-    _write_result(result, args)
+
+    def run(sink):
+        for kappa in args.kappa:
+            snr_mm = snr_minimax(args.d, args.p, args.a, kappa / args.eps if args.eps else 0.0,
+                                 args.eps, args.sigma)
+            sink(_predict_row(kappa, ClassifierKind.MINIMAX_LINEAR,
+                              error_from_snr(snr_mm), METHOD_Q_OF_SNR, args.seed))
+            if 0 <= kappa <= args.eps:
+                exact = clt_error(model, args.eps, kappa)
+                lower = clt_error(model, args.eps, kappa, use_lower_bound=True)
+                ma = cost_difference_moments(args.a * args.eps, args.eps, kappa, args.sigma)
+                mb = cost_difference_moments(args.b * args.eps, args.eps, kappa, args.sigma)
+                sink(_predict_row(kappa, ClassifierKind.GLRT, exact.value,
+                                  exact.method, args.seed))
+                sink(_predict_row(kappa, ClassifierKind.GLRT, lower.value,
+                                  lower.method, args.seed))
+                sink(_predict_row(kappa, ClassifierKind.GLRT,
+                                  error_from_snr(snr_glrt(args.d, args.p, ma, mb))
+                                  if ma.mean * args.p + mb.mean * (1 - args.p) >= 0 else 0.5,
+                                  METHOD_Q_OF_SNR, args.seed))
+        return {"profile": {"d": args.d, "p": args.p, "a": args.a, "b": args.b,
+                            "eps": args.eps}, "sigma": args.sigma, "seed": args.seed}
+
+    _write_rows(args, CSV_HEADER, format_row, run)
     return _EXIT_OK
 
 
@@ -290,24 +272,17 @@ def _cmd_surface(args) -> int:
 
 
 def _write_surface(surface, model, args) -> None:
-    d = model.dim
-    header = ",".join(f"e{i + 1}" for i in range(d)) + ",error"
-    with _open_out(args) as fh:
-        if args.format == "json":
-            payload = {
-                "metadata": _surface_metadata(surface, model),
-                "rows": [
-                    {"attack": e.tolist(), "error": err} for e, err in surface.iter_rows()
-                ],
-            }
-            fh.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            fh.write(header + "\n")
-            for e, err in surface.iter_rows():
-                cells = [format(v, ".10g") for v in e] + [format(err, ".10g")]
-                fh.write(",".join(cells) + "\n")
-    if args.out is not None:
-        _write_sidecar(args.out, _surface_metadata(surface, model))
+    def run(sink):
+        for e, err in surface.iter_rows():
+            sink({"attack": e.tolist(), "error": err})
+        return _surface_metadata(surface, model)
+
+    _write_rows(
+        args,
+        ",".join(f"e{i + 1}" for i in range(model.dim)) + ",error",
+        lambda row: ",".join(format(v, ".10g") for v in [*row["attack"], row["error"]]),
+        run,
+    )
 
 
 def _surface_metadata(surface, model) -> dict:
@@ -377,26 +352,30 @@ def _cmd_reproduce(args) -> int:
         _write_surface(surface, recipe.model, args)
         return _EXIT_OK
     recipes = recipe if isinstance(recipe, list) else [recipe]
-    _run_and_write(recipes, args, metadata_shape="multi")
+    _write_rows(args, CSV_HEADER, format_row, lambda sink: {
+        "configs": [run_experiment(c, args.threads, sink).metadata for c in recipes],
+        "seed": args.seed,
+    })
     return _EXIT_OK
 
 
 def _write_moment_rows(rows, recipe, args) -> None:
     header = ("mu,c_mean_exact,c_var_exact,c_mean_mc,c_var_mc,"
               "c_mean_se,c_var_se,y_mean,y_var")
-    metadata = {
-        "eps": recipe.eps, "kappa": recipe.kappa, "sigma": recipe.sigma,
-        "trials": recipe.trials, "seed": recipe.seed,
-    }
-    with _open_out(args) as fh:
-        if args.format == "json":
-            fh.write(json.dumps({"metadata": metadata, "rows": rows}, indent=2) + "\n")
-        else:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(format(row[k], ".10g") for k in header.split(",")) + "\n")
-    if args.out is not None:
-        _write_sidecar(args.out, metadata)
+
+    def run(sink):
+        for row in rows:
+            sink(row)
+        return {
+            "eps": recipe.eps, "kappa": recipe.kappa, "sigma": recipe.sigma,
+            "trials": recipe.trials, "seed": recipe.seed,
+        }
+
+    _write_rows(
+        args, header,
+        lambda row: ",".join(format(row[k], ".10g") for k in header.split(",")),
+        run,
+    )
 
 
 if __name__ == "__main__":

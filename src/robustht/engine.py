@@ -4,14 +4,16 @@ The engine turns (model, classifier, attack policy) into error frequencies
 with reproducibility guarantees: noise comes from counter-based substreams
 keyed by (seed, block), errors are integer counts per block, and merging
 counts is order-independent, so results are byte-identical for any
-`threads` setting. Common random numbers are shared across every sweep
-point, classifier and attack mode within a run, which turns the paper-style
-ordering comparisons into paired tests.
+`threads` setting. Common random numbers are shared across every cell
+that shares a model (a whole kappa or eps_over_sigma_sq sweep, or one
+dimension), which turns the paper-style ordering comparisons into paired
+tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -44,6 +46,7 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "ExperimentResult",
+    "model_from_dict",
     "monte_carlo_error",
     "run_experiment",
 ]
@@ -231,6 +234,11 @@ class ExperimentConfig:
             raise ConfigError("classifiers: must be non-empty")
         if not self.attack_modes:
             raise ConfigError("attack_modes: must be non-empty")
+        if AttackMode.FIXED_VECTOR in self.attack_modes:
+            raise ConfigError(
+                f"attack_modes: {AttackMode.FIXED_VECTOR.value!r} needs a vector, "
+                "which a config cannot carry"
+            )
         if self.eps < 0:
             raise ConfigError(f"eps: must be >= 0, got {self.eps}")
         if self.sweep_axis == SWEEP_DIMENSION:
@@ -255,6 +263,10 @@ class ExperimentConfig:
                 raise ConfigError(f"kappas: each must be a number, got {kappa!r}")
             if not 0 <= kappa <= self.eps + 1e-12:
                 raise ConfigError(f"kappas: each must lie in [0, eps], got {kappa}")
+
+    def resolved_kappas(self) -> list[float]:
+        """Employed strengths of the non-kappa axes; None stands for eps."""
+        return [k if k is not None else self.eps for k in self.kappas]
 
     def resolved_model(self) -> HypothesisModel:
         if self.model is not None:
@@ -307,14 +319,6 @@ class ExperimentResult:
     rows: list[dict]
     metadata: dict
 
-    def write_csv(self, stream) -> None:
-        stream.write(CSV_HEADER + "\n")
-        for row in self.rows:
-            stream.write(format_row(row) + "\n")
-
-    def to_json(self) -> str:
-        return json.dumps({"metadata": self.metadata, "rows": self.rows}, indent=2)
-
 
 def _fmt(value) -> str:
     if value is None:
@@ -339,7 +343,7 @@ def _make_row(config, sweep_value, kind, mode, kappa, **fields) -> dict:
         "sweep_axis": config.sweep_axis,
         "sweep_value": sweep_value,
         "classifier": kind.value,
-        "attack_mode": mode.value if mode is not None else "",
+        "attack_mode": mode.value,
         "kappa": kappa,
         "error": None,
         "ci": None,
@@ -355,17 +359,28 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, row_sink=None) ->
     """Execute a sweep. Deterministic for a given (config, seed).
 
     row_sink, if given, receives each row as soon as it is final, so
-    partial results of long sweeps survive interruption. Sweep points of a
-    dimension study finish one at a time; shared-noise sweeps accumulate
-    all cells jointly (common random numbers) and emit at the end.
+    partial results of long sweeps survive interruption. Cells that share
+    a model are sampled together: one group for the kappa and
+    eps_over_sigma_sq axes (common random numbers across the sweep), one
+    group per dimension, whose rows are final before the next dimension
+    is calibrated.
     """
     config.validate()
-    if config.sweep_axis == SWEEP_DIMENSION:
-        rows = _run_dimension_sweep(config, threads, row_sink)
-    else:
-        rows = _run_shared_noise_sweep(config, threads)
-        if row_sink is not None:
-            for row in rows:
+    rows = []
+    for model, cells in _cell_groups(config):
+        classifiers = {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
+        estimates = _monte_carlo_cells(
+            model,
+            [
+                (classifiers[kind], _spec_for(config.eps, mode, kappa),
+                 _sigma_for(config, model, value))
+                for value, kind, mode, kappa in cells
+            ],
+            config.true_class, config.trials, config.seed, threads,
+        )
+        for row in _group_rows(config, model, cells, estimates):
+            rows.append(row)
+            if row_sink is not None:
                 row_sink(row)
     metadata = {
         "config": config.to_dict(),
@@ -380,54 +395,43 @@ def _cells_for(config) -> list[tuple]:
     """(sweep_value, kind, mode, kappa) grid, kappa resolved per axis."""
     cells = []
     for value in config.sweep_values:
+        if config.sweep_axis == SWEEP_DIMENSION:
+            value = int(value)
+        kappa_list = [value] if config.sweep_axis == SWEEP_KAPPA else config.resolved_kappas()
         for kind in config.classifiers:
             for mode in config.attack_modes:
-                if config.sweep_axis == SWEEP_KAPPA:
-                    kappa_list = [value]
-                else:
-                    kappa_list = [k if k is not None else config.eps for k in config.kappas]
                 for kappa in kappa_list:
                     if mode is AttackMode.NONE:
                         kappa = 0.0
                     cells.append((value, kind, mode, kappa))
     # NONE mode ignores kappa; drop duplicate cells it would create
-    seen = set()
-    out = []
-    for cell in cells:
-        if cell in seen:
-            continue
-        seen.add(cell)
-        out.append(cell)
-    return out
+    return list(dict.fromkeys(cells))
 
 
-def _run_shared_noise_sweep(config, threads) -> list[dict]:
-    """kappa / eps_over_sigma_sq sweeps: every cell shares the same draws."""
-    model = config.resolved_model()
-    classifiers = {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
+def _cell_groups(config):
+    """(model, cells) pairs; the cells of one pair share its noise draws.
+
+    The dimension axis calibrates sigma per dimension, lazily, so that a
+    dimension's rows are emitted before the next one is calibrated.
+    """
     cells = _cells_for(config)
-
-    def sigma_for(value) -> float:
-        if config.sweep_axis == SWEEP_EPS_OVER_SIGMA_SQ:
-            return config.eps / math.sqrt(value)
-        return model.sigma
-
-    estimates = _monte_carlo_cells(
-        model,
-        [
-            (classifiers[kind], _spec_for(config.eps, mode, kappa), sigma_for(value))
-            for value, kind, mode, kappa in cells
-        ],
-        config.true_class, config.trials, config.seed, threads,
-    )
-    return [
-        _make_row(
-            config, value, kind, mode, kappa,
-            error=err, ci=ci,
-            reject_rate=rej if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR else None,
+    if config.sweep_axis != SWEEP_DIMENSION:
+        yield config.resolved_model(), cells
+        return
+    [kappa] = config.resolved_kappas()
+    for d, group in itertools.groupby(cells, key=lambda cell: cell[0]):
+        profile = config.profile.with_dimension(d)
+        sigma = sigma_for_target_error(
+            profile, kappa, config.target_error,
+            method=config.calibration_method, seed=config.seed,
         )
-        for (value, kind, mode, kappa), (err, ci, rej) in zip(cells, estimates)
-    ]
+        yield profile.to_model(sigma), list(group)
+
+
+def _sigma_for(config, model, value) -> float:
+    if config.sweep_axis == SWEEP_EPS_OVER_SIGMA_SQ:
+        return config.eps / math.sqrt(value)
+    return model.sigma
 
 
 def _spec_for(eps: float, mode: AttackMode, kappa: float) -> AttackSpec:
@@ -436,48 +440,38 @@ def _spec_for(eps: float, mode: AttackMode, kappa: float) -> AttackSpec:
     return AttackSpec(budget=eps, strength=kappa, mode=mode)
 
 
-def _run_dimension_sweep(config, threads, row_sink=None) -> list[dict]:
-    """Convergence study: per-dimension noise calibration, then MC vs CLT."""
-    rows = []
+def _group_rows(config, model, cells, estimates):
+    """Rows of one cell group, in cell order.
 
-    def emit(row):
-        rows.append(row)
-        if row_sink is not None:
-            row_sink(row)
+    On the dimension axis each sweep point's GLRT Monte Carlo rows are
+    followed by the CLT prediction, which models the agnostic sign attack.
+    """
+    estimated = zip(cells, estimates)
+    for (value, kind), block in itertools.groupby(estimated, key=lambda pair: pair[0][:2]):
+        for (_, _, mode, kappa), (err, ci, rej) in block:
+            yield _make_row(
+                config, value, kind, mode, kappa,
+                error=err, ci=ci,
+                reject_rate=rej if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR else None,
+            )
+        if config.sweep_axis == SWEEP_DIMENSION and kind is ClassifierKind.GLRT:
+            [kappa] = config.resolved_kappas()
+            yield _make_row(
+                config, value, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC, kappa,
+                error=clt_error(model, config.eps, kappa).value, method=METHOD_CLT_EXACT,
+            )
 
-    kappa = config.kappas[0] if config.kappas[0] is not None else config.eps
-    for value in config.sweep_values:
-        d = int(value)
-        profile = config.profile.with_dimension(d)
-        sigma = sigma_for_target_error(
-            profile, kappa, config.target_error,
-            method=config.calibration_method, seed=config.seed,
+
+def model_from_dict(raw: dict) -> HypothesisModel:
+    """Model from its JSON object {"means", "sigma", "priors"?}; errors name `model`."""
+    try:
+        return HypothesisModel(
+            means=np.asarray(raw["means"], dtype=float),
+            sigma=float(raw["sigma"]),
+            priors=np.asarray(raw["priors"], dtype=float) if "priors" in raw else None,
         )
-        model = profile.to_model(sigma)
-        classifiers = {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
-        estimates = iter(_monte_carlo_cells(
-            model,
-            [
-                (classifiers[kind], _spec_for(config.eps, mode, kappa), sigma)
-                for kind in config.classifiers
-                for mode in config.attack_modes
-            ],
-            config.true_class, config.trials, config.seed, threads,
-        ))
-        for kind in config.classifiers:
-            for mode in config.attack_modes:
-                err, ci, _ = next(estimates)
-                emit(_make_row(config, d, kind, mode, kappa, error=err, ci=ci))
-            if kind is ClassifierKind.GLRT:
-                # the analytic estimate models the agnostic sign attack
-                pred = clt_error(model, config.eps, kappa)
-                emit(
-                    _make_row(
-                        config, d, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC, kappa,
-                        error=pred.value, method=METHOD_CLT_EXACT,
-                    )
-                )
-    return rows
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"model: {exc}") from exc
 
 
 def _config_from_dict(raw: dict) -> ExperimentConfig:
@@ -497,18 +491,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"{name}: required field is missing")
         return raw[name]
 
-    model = None
+    model = model_from_dict(raw["model"]) if "model" in raw else None
     profile = None
-    if "model" in raw:
-        m = raw["model"]
-        try:
-            model = HypothesisModel(
-                means=np.asarray(m["means"], dtype=float),
-                sigma=float(m["sigma"]),
-                priors=np.asarray(m["priors"], dtype=float) if "priors" in m else None,
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"model: {exc}") from exc
     if "profile" in raw:
         p = raw["profile"]
         try:

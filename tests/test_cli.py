@@ -1,9 +1,13 @@
+import hashlib
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+import robustht.engine
+from robustht import cli
 
 CLI = [sys.executable, "-m", "robustht.cli"]
 
@@ -222,3 +226,101 @@ class TestAttackSurface:
         assert r.returncode == 1
         err = json.loads(r.stderr.splitlines()[-1])
         assert "d <= 3" in err["message"]
+
+
+# SHA-256 of (output CSV, .meta.json sidecar) at --seed 7, recorded with
+# numpy 2.4.6 before the sweep driver and the row writer were unified.
+# A refactor keeps these bytes; a change that alters them on purpose
+# records which stream or rounding moved and why, then updates them here.
+CONTRACT_NUMPY = "2.4.6"
+CONTRACT = {
+    ("reproduce", "fig2", "--trials", "20000"): (
+        "a5f115cea8bf37e63dd863ec8f95b9e79676dc85a2ef0e5ae018431d0e793076",
+        "5b859ec84abd79f9bdbb6218acf4159f58d9fb73a274143381c2dcdda8efc57a"),
+    ("reproduce", "fig3", "--trials", "10000"): (
+        "9407fe5a6e7f9113ce9b92b9bda380cde2406b46f41914174066c288c743a53b",
+        "18831eb9ae04bfda3678202c1d24ece3c2e3b8efd4c7bc9fcf24631584c5a182"),
+    ("reproduce", "fig4", "--trials", "3000"): (
+        "f4edb482e433150b525a29ef54261ba09463c9055428bc12b7b385bbe843e7ec",
+        "2b963c004b5a4b0e1da8e9ee07d551bb88d9c28dd8e635eb4b96f75c0c6efaed"),
+    ("reproduce", "fig5", "--trials", "3000"): (
+        "e11ef89b9398722c10bc32626fccf18ccc0376d4480343d500843c9507488c3b",
+        "372f15e70493388741d66e661af06afefd2a49e8b0359e146b64cca110cfe6d4"),
+    ("reproduce", "fig6", "--trials", "300"): (
+        "ba1a9006ecae8c8d213fdda346e61b655253b31329da7f561a993a68034d8789",
+        "1ebc1833c0d9c58af163c3f91bf7a28d3b2537a83739c9c1a876479f73d64822"),
+    ("reproduce", "fig7", "--trials", "300"): (
+        "b3a0086d13269fe0f1cf17e19750aa6f203d776d0caf89253e46920600c09089",
+        "719a73f7b4414a506bf9b06bcf781db93930d12b9918e1475d2ec9dcd36455f5"),
+    ("reproduce", "fig8", "--trials", "2000"): (
+        "90992f6af09c4244442f9f62dcea3e74776106d49f3ec646a062aae4d3df9a87",
+        "c4c5bb5a8c56dbb95bd39db002d00b00330e60d933729e271ab2ff5963bbacef"),
+    ("predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+     "--sigma", "1", "--kappa", "0,0.5,1,1.5"): (
+        "52cc12d01364167089f816c74cd8fb12f8d7c27299e2fd1f2dc81343536eb3d6",
+        "bbdbd0bcb42b75fce3e1a6a6db82e77857bfae0e998594b4af604c4b4ce3da55"),
+}
+
+
+def test_behaviour_contract_digests(tmp_path):
+    changed = []
+    for i, (argv, expected) in enumerate(CONTRACT.items()):
+        out = tmp_path / f"{i}.csv"
+        assert cli.main([*argv, "--seed", "7", "--out", str(out)]) == 0, argv
+        side = tmp_path / f"{i}.csv.meta.json"
+        got = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, side))
+        if got != expected:
+            changed.append(" ".join(argv))
+    assert not changed, (
+        f"output bytes differ from the recorded contract (recorded with numpy "
+        f"{CONTRACT_NUMPY}, running {np.__version__}): {changed}")
+
+
+class TestSubcommandFlags:
+    PROFILE = ["--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1"]
+
+    @pytest.mark.parametrize("argv", [
+        ["nn-class", "--model", "ternary-2d", "--eps", "1", "--format", "json"],
+        ["nn-class", "--model", "ternary-2d", "--eps", "1", "--seed", "1"],
+        ["nn-class", "--model", "ternary-2d", "--eps", "1", "--trials", "10"],
+        ["nn-class", "--model", "ternary-2d", "--eps", "1", "--threads", "2"],
+        ["predict", *PROFILE, "--sigma", "1", "--trials", "10"],
+        ["predict", *PROFILE, "--sigma", "1", "--threads", "2"],
+        ["sigma-search", *PROFILE, "--kappa", "1", "--target", "0.05", "--format", "csv"],
+        ["sigma-search", *PROFILE, "--kappa", "1", "--target", "0.05", "--threads", "2"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_flag_rejected(self, argv, capsys):
+        assert cli.main(argv) == 2
+        assert argv[-2] in capsys.readouterr().err
+
+
+def test_fixed_attack_mode_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+    draws = []
+    real = robustht.engine.noise_block
+    monkeypatch.setattr(robustht.engine, "noise_block",
+                        lambda *args: draws.append(args) or real(*args))
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps({
+        "profile": {"d": 20, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
+        "eps": 1.0,
+        "classifiers": ["glrt"],
+        "attack_modes": ["fixed"],
+        "sweep": {"axis": "dimension", "values": [20, 40]},
+        "target_error": 0.1,
+        "calibration_method": "monte-carlo",
+        "trials": 2000,
+    }))
+    assert cli.main(["simulate", str(path)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "attack_modes" in err["message"]
+    assert draws == []
+
+
+def test_model_file_without_sigma_names_model(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"means": [[0.0, 0.0], [2.5, 0.25]]}))
+    assert cli.main(["attack-surface", "--model", str(path), "--eps", "1"]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "validation"
+    assert err["message"].startswith("model:")

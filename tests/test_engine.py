@@ -306,6 +306,33 @@ class TestRunExperiment:
         run_experiment(kappa_sweep_config(trials=2000), row_sink=seen.append)
         assert len(seen) == 6
 
+    def test_row_sink_receives_dimension_rows(self):
+        seen = []
+        result = run_experiment(dimension_sweep_config(trials=2000), row_sink=seen.append)
+        assert [r["sweep_value"] for r in seen] == [20, 20, 40, 40]
+        assert seen == result.rows
+
+    @pytest.mark.parametrize("axis", ["kappa", "eps_over_sigma_sq", "dimension"])
+    def test_one_row_rule_on_every_axis(self, axis):
+        # PRL rows carry reject_rate and NONE rows carry kappa 0, whatever the axis
+        grid = dict(
+            classifiers=[ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR],
+            attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NONE],
+            trials=2000,
+        )
+        if axis == "kappa":
+            config = kappa_sweep_config(sweep_values=[0.7], **grid)
+        elif axis == "eps_over_sigma_sq":
+            config = kappa_sweep_config(sigma=None, sweep_axis=axis, sweep_values=[1.0, 4.0],
+                                        kappas=[0.7], **grid)
+        else:
+            config = dimension_sweep_config(kappas=[0.7], **grid)
+        rows = [r for r in run_experiment(config).rows if r["method"] == METHOD_MONTE_CARLO]
+        assert len(rows) == 4 * (1 if axis == "kappa" else 2)
+        for row in rows:
+            assert (row["reject_rate"] is not None) == (row["classifier"] == "prl")
+            assert row["kappa"] == (0.0 if row["attack_mode"] == "none" else 0.7)
+
     def test_format_row_stable(self):
         row = {
             "sweep_axis": "kappa", "sweep_value": 0.5, "classifier": "glrt",
