@@ -298,9 +298,10 @@ def brute_force_attack_oracle(
 
     Exhaustively realizes the noise-agnostic maximization over the
     l-infinity ball at desk scale (d <= 3), with common random numbers
-    across grid points. Binary models with cost- or statistic-separable
-    rules take a per-coordinate fast path; everything else goes through
-    the classifier's batch decisions in grid chunks.
+    across grid points. Noise is drawn and counted one block at a time.
+    Binary models with cost- or statistic-separable rules take a
+    per-coordinate fast path; everything else goes through the
+    classifier's batch decisions in grid chunks.
     """
     j = model.check_class(true_class)
     d = model.dim
@@ -318,17 +319,19 @@ def brute_force_attack_oracle(
     else:
         axes = [np.linspace(-eps, eps, grid_points_per_axis) for _ in range(d)]
 
-    # identical per-trial noise to the sweep engine's, so grid estimates and
-    # engine estimates at the same (seed, trials) are exactly comparable
-    noise = model.sigma * np.concatenate(
-        [noise_block(seed, b, rows, d) for b, _, rows in block_plan(trials)]
-    )
-    if model.num_classes == 2 and isinstance(
+    separable = model.num_classes == 2 and isinstance(
         classifier, (GlrtClassifier, MinDistanceClassifier, MinimaxLinearClassifier)
-    ):
-        counts = _separable_surface_counts(model, classifier, j, axes, noise)
-    else:
-        counts = _generic_surface_counts(model, classifier, j, axes, noise, threads)
+    )
+    counts = np.zeros(tuple(len(a) for a in axes), dtype=np.int64)
+    # identical per-trial noise to the sweep engine's, so grid estimates and
+    # engine estimates at the same (seed, trials) are exactly comparable;
+    # one block is live at a time and the integer counts add up across blocks
+    for b, _, rows in block_plan(trials):
+        noise = model.sigma * noise_block(seed, b, rows, d)
+        if separable:
+            counts += _separable_surface_counts(model, classifier, j, axes, noise)
+        else:
+            counts += _generic_surface_counts(model, classifier, j, axes, noise, threads)
     return ErrorSurface(
         axes=axes,
         errors=counts / trials,

@@ -1,12 +1,17 @@
 """Decision rules: minimum distance, GLRT, minimax linear, pairwise robust linear.
 
 All classifiers are immutable after construction and classification is pure,
-so instances can be shared freely across threads. Batch entry points
-(`costs_batch`, `decide_batch`) take an (n, d) array of observations and are
-what the Monte Carlo engine drives; `classify` wraps a single observation
-into a Decision with surfaced costs. Ties always resolve to the lowest class
-index, which keeps golden tests deterministic and is measure-zero under
-continuous noise.
+so instances can be shared freely across threads. `decide_batch` takes an
+(n, d) array of observations and is what the Monte Carlo engine, the
+noise-aware replay and the grid oracle drive; `classify` wraps a single
+observation into a Decision with surfaced costs. Ties always resolve to the
+lowest class index, which keeps golden tests deterministic and is
+measure-zero under continuous noise.
+
+Minimum distance and the GLRT share one decision kernel: it visits the M
+classes in turn with a single workspace of about 2^16 values (one row when
+d is larger) and keeps a running argmin, so beyond its input a call holds
+only that workspace and a few vectors with one entry per row, whatever M is.
 """
 
 from __future__ import annotations
@@ -86,6 +91,58 @@ def _as_batch(x) -> tuple[np.ndarray, bool]:
     return x, False
 
 
+# float64 values per decision workspace (512 KB): small enough to stay in a
+# core's L2 cache across the passes the kernel makes over it
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _class_costs(x: np.ndarray, means: np.ndarray, eps: float | None):
+    """Yield, for each row of means, the cost of every row of x under that class.
+
+    The cost is ||g_eps(x - mu_k)||^2, with g_eps the double-sided ReLU
+    max(0, |.| - eps); eps None is the plain squared distance. The residual
+    is built in one workspace the shape of x, reused for every class, and
+    the yielded vector is overwritten by the next class.
+    """
+    work = np.empty_like(x)
+    cost = np.empty(x.shape[0])
+    for mu in means:
+        np.subtract(x, mu, out=work)
+        if eps is not None:
+            np.abs(work, out=work)
+            work -= eps
+            np.maximum(work, 0.0, out=work)
+        yield np.einsum("nd,nd->n", work, work, out=cost)
+
+
+def _nearest_class(x, means: np.ndarray, eps: float | None) -> np.ndarray:
+    """Row-wise argmin of `_class_costs`; the lowest index wins ties.
+
+    Rows go through in chunks of about _CHUNK_ELEMENTS, so the workspace
+    stays cache-sized whatever n is. Each row's cost is summed on its own,
+    so chunking does not change a single bit of it.
+    """
+    xb, _ = _as_batch(x)
+    n, d = xb.shape
+    labels = np.zeros(n, dtype=np.int64)
+    best = np.full(n, np.inf)
+    closer = np.empty(n, dtype=bool)
+    step = max(1, _CHUNK_ELEMENTS // d)
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        for k, cost in enumerate(_class_costs(xb[rows], means, eps)):
+            np.less(cost, best[rows], out=closer[rows])
+            np.copyto(labels[rows], k, where=closer[rows])
+            np.copyto(best[rows], cost, where=closer[rows])
+    return labels
+
+
+def _single_decision(x, means: np.ndarray, eps: float | None) -> Decision:
+    xb, _ = _as_batch(x)
+    costs = np.array([cost[0] for cost in _class_costs(xb[:1], means, eps)])
+    return Decision(label=int(np.argmin(costs)), costs=costs)
+
+
 class MinDistanceClassifier:
     """Nearest-mean rule, optimal without an adversary."""
 
@@ -94,17 +151,11 @@ class MinDistanceClassifier:
     def __init__(self, model: HypothesisModel):
         self.model = model
 
-    def costs_batch(self, x) -> np.ndarray:
-        xb, _ = _as_batch(x)
-        diff = xb[:, None, :] - self.model.means[None, :, :]
-        return np.einsum("nkd,nkd->nk", diff, diff)
-
     def decide_batch(self, x) -> np.ndarray:
-        return np.argmin(self.costs_batch(x), axis=1)
+        return _nearest_class(x, self.model.means, None)
 
     def classify(self, x) -> Decision:
-        costs = self.costs_batch(x)[0]
-        return Decision(label=int(np.argmin(costs)), costs=costs)
+        return _single_decision(x, self.model.means, None)
 
 
 class GlrtClassifier:
@@ -133,21 +184,14 @@ class GlrtClassifier:
 
     def cost(self, x, k: int) -> float:
         k = self.model.check_class(k)
-        x = np.asarray(x, dtype=float)
-        resid = np.maximum(0.0, np.abs(x - self.model.means[k]) - self.eps)
-        return float(resid @ resid)
-
-    def costs_batch(self, x) -> np.ndarray:
         xb, _ = _as_batch(x)
-        resid = np.maximum(0.0, np.abs(xb[:, None, :] - self.model.means[None, :, :]) - self.eps)
-        return np.einsum("nkd,nkd->nk", resid, resid)
+        return float(next(_class_costs(xb[:1], self.model.means[k:k + 1], self.eps))[0])
 
     def decide_batch(self, x) -> np.ndarray:
-        return np.argmin(self.costs_batch(x), axis=1)
+        return _nearest_class(x, self.model.means, self.eps)
 
     def classify(self, x) -> Decision:
-        costs = self.costs_batch(x)[0]
-        return Decision(label=int(np.argmin(costs)), costs=costs)
+        return _single_decision(x, self.model.means, self.eps)
 
 
 class MinimaxLinearClassifier:

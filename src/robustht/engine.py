@@ -224,6 +224,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         if (self.model is None) == (self.profile is None):
             raise ConfigError("model/profile: exactly one must be given")
+        if self.true_class is not None:
+            classes = self.model.num_classes if self.model is not None else 2
+            if not 0 <= self.true_class < classes:
+                raise ConfigError(
+                    f"true_class: must lie in [0, {classes}), got {self.true_class}"
+                )
         if self.sweep_axis not in _VALID_AXES:
             raise ConfigError(f"sweep.axis: must be one of {_VALID_AXES}, got {self.sweep_axis!r}")
         if not self.sweep_values:

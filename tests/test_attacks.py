@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import robustht.attacks
 from robustht.attacks import (
     UnsupportedDimensionError,
     binary_sign_attack,
@@ -272,6 +273,49 @@ class TestBruteForceOracle:
             e = np.array([surf.axes[0][i], surf.axes[1][j]])
             labels = clf.decide_batch(m.means[0] + e + noise)
             assert surf.errors[i, j] == np.mean(labels != 0)
+
+    @pytest.mark.parametrize("path", ["separable", "generic"])
+    def test_multi_block_surface_matches_one_shot_recount(self, path, monkeypatch):
+        # 9000 trials span two noise blocks; the oracle draws and counts them
+        # one at a time, the recount concatenates the same draws and decides
+        # every grid point with a direct numpy formula
+        if path == "separable":
+            m = HypothesisModel.symmetric_binary(np.array([0.8, -0.5]), 0.7)
+        else:
+            m = ternary_2d(sigma_sq=0.4)
+        eps, trials, seed = 0.6, 9000, 11
+        clf = GlrtClassifier(m, eps=eps)
+        events = []
+        for name in ("noise_block", f"_{path}_surface_counts"):
+            real = getattr(robustht.attacks, name)
+
+            def record(*args, _real=real, _name=name):
+                out = _real(*args)
+                rows = out.shape[0] if _name == "noise_block" else args[4].shape[0]
+                events.append((_name, rows))
+                return out
+
+            monkeypatch.setattr(robustht.attacks, name, record)
+        surf = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
+                                         trials=trials, seed=seed)
+        counter = f"_{path}_surface_counts"
+        assert events == [("noise_block", 8192), (counter, 8192),
+                          ("noise_block", 808), (counter, 808)]
+        monkeypatch.undo()
+        noise = m.sigma * np.concatenate(
+            [noise_block(seed, b, rows, 2) for b, _, rows in block_plan(trials)]
+        )
+        expect = np.zeros((5, 5))
+        for i, j in np.ndindex(5, 5):
+            x = m.means[0] + np.array([surf.axes[0][i], surf.axes[1][j]]) + noise
+            resid = np.maximum(0.0, np.abs(x[:, None, :] - m.means[None, :, :]) - eps)
+            labels = np.argmin((resid ** 2).sum(axis=2), axis=1)
+            expect[i, j] = np.count_nonzero(labels != 0) / trials
+        np.testing.assert_array_equal(surf.errors, expect)
+        if path == "generic":
+            threaded = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
+                                                 trials=trials, seed=seed, threads=2)
+            np.testing.assert_array_equal(threaded.errors, surf.errors)
 
     def test_dimension_guard(self):
         m = HypothesisModel(means=np.zeros((2, 4)) + np.arange(4), sigma=1.0)

@@ -1,3 +1,8 @@
+import itertools
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -105,10 +110,101 @@ class TestGlrt:
         shift = rng.normal(size=5)
         shifted = HypothesisModel(means=m.means + shift, sigma=1.0)
         clf_shift = GlrtClassifier(shifted, eps=0.8)
-        x = rng.normal(size=(50, 5))
-        np.testing.assert_allclose(
-            clf.costs_batch(x), clf_shift.costs_batch(x + shift), rtol=1e-9, atol=1e-9
+        for row in rng.normal(size=(50, 5)):
+            np.testing.assert_allclose(
+                clf.classify(row).costs, clf_shift.classify(row + shift).costs,
+                rtol=1e-9, atol=1e-9,
+            )
+
+
+def reference_costs(x, means, eps):
+    """(n, M) costs by direct broadcasting; eps None is the squared distance."""
+    resid = np.abs(x[:, None, :] - means[None, :, :])
+    if eps is not None:
+        resid = np.maximum(0.0, resid - eps)
+    return (resid ** 2).sum(axis=2)
+
+
+def midpoint_rows(classes, shift):
+    """One-hot means 8 e_k plus an integer shift, and the exact midpoint of
+    every pair a < b: both halves of each pair are equally far, by exact
+    arithmetic, and every other class is farther."""
+    means = 8.0 * np.eye(classes) + shift
+    pairs = list(itertools.combinations(range(classes), 2))
+    rows = np.array([(means[a] + means[b]) / 2.0 for a, b in pairs])
+    return means, rows, [a for a, _ in pairs]
+
+
+def make_classifier(eps, model):
+    return MinDistanceClassifier(model) if eps is None else GlrtClassifier(model, eps)
+
+
+# eps for the GLRT, or None for minimum distance
+KERNEL_RULES = [None, 0.0, 0.4, 1.5]
+
+
+class TestDecisionKernel:
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("eps", KERNEL_RULES)
+    def test_matches_reference_argmin(self, classes, eps):
+        rng = np.random.default_rng(classes)
+        m = HypothesisModel(means=rng.normal(size=(classes, 12)), sigma=1.0)
+        clf = make_classifier(eps, m)
+        # 6000 x 12 values: more than one of the kernel's row chunks
+        x = rng.normal(scale=1.5, size=(6000, 12))
+        expect = np.argmin(reference_costs(x, m.means, eps), axis=1)
+        np.testing.assert_array_equal(clf.decide_batch(x), expect)
+        for row, label in zip(x[:20], expect[:20]):
+            assert clf.decide_batch(row).tolist() == [label]
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("eps", KERNEL_RULES)
+    def test_exact_tie_goes_to_lowest_index(self, classes, eps):
+        shift = np.random.default_rng(5).integers(-4, 5, size=classes).astype(float)
+        means, rows, lower = midpoint_rows(classes, shift)
+        costs = reference_costs(rows, means, eps)
+        for i, a in enumerate(lower):
+            tied = np.flatnonzero(costs[i] == costs[i].min())
+            assert tied[0] == a and len(tied) == 2
+        clf = make_classifier(eps, HypothesisModel(means=means, sigma=1.0))
+        np.testing.assert_array_equal(clf.decide_batch(rows), lower)
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_glrt_eps_zero_is_min_distance(self, classes):
+        rng = np.random.default_rng(40 + classes)
+        shift = rng.integers(-4, 5, size=classes).astype(float)
+        means, ties, _ = midpoint_rows(classes, shift)
+        m = HypothesisModel(means=means, sigma=1.0)
+        x = np.concatenate([ties, shift + rng.normal(scale=6.0, size=(5000, classes))])
+        np.testing.assert_array_equal(
+            GlrtClassifier(m, eps=0.0).decide_batch(x), MinDistanceClassifier(m).decide_batch(x)
         )
+
+    def test_memory_is_one_workspace(self):
+        # M = 10, d = 10^4, 1024 rows: an (n, M, d) float64 temporary would be
+        # 10 times x, while the kernel's workspace is a fixed 512 KB
+        script = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from robustht.classifiers import GlrtClassifier, MinDistanceClassifier
+            from robustht.model import HypothesisModel
+
+            rng = np.random.default_rng(0)
+            model = HypothesisModel(means=rng.standard_normal((10, 10_000)), sigma=1.0)
+            x = np.empty((1024, 10_000))
+            rng.standard_normal(out=x)
+            rules = [GlrtClassifier(model, eps=0.5), MinDistanceClassifier(model)]
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            for rule in rules:
+                rule.decide_batch(x)
+            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            print((after - before) * 1024, x.nbytes)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        grown, x_bytes = map(int, proc.stdout.split())
+        assert grown < 1.5 * x_bytes, f"peak RSS grew by {grown / 2**20:.1f} MB"
 
 
 class TestMinDistance:

@@ -317,6 +317,47 @@ def test_fixed_attack_mode_rejected_before_sampling(tmp_path, monkeypatch, capsy
     assert draws == []
 
 
+_TERNARY_KAPPA_CONFIG = {
+    "model": {"means": [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]], "sigma": 0.3},
+    "eps": 0.5,
+    "classifiers": ["glrt"],
+    "attack_modes": ["agnostic"],
+    "sweep": {"axis": "kappa", "values": [0.0, 0.5]},
+    "trials": 2000,
+}
+_DIMENSION_CONFIG = {
+    "profile": {"d": 20, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
+    "eps": 1.0,
+    "classifiers": ["glrt"],
+    "attack_modes": ["agnostic"],
+    "sweep": {"axis": "dimension", "values": [20, 40]},
+    "target_error": 0.1,
+    "calibration_method": "monte-carlo",
+    "trials": 2000,
+}
+
+
+@pytest.mark.parametrize("true_class", [5, -1])
+@pytest.mark.parametrize("config", [_TERNARY_KAPPA_CONFIG, _DIMENSION_CONFIG],
+                         ids=["kappa", "dimension"])
+def test_true_class_out_of_range_rejected_before_sampling(
+    tmp_path, monkeypatch, capsys, config, true_class
+):
+    draws = []
+    real = robustht.engine.noise_block
+    monkeypatch.setattr(robustht.engine, "noise_block",
+                        lambda *args: draws.append(args) or real(*args))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**config, "true_class": true_class}))
+    out = tmp_path / "out.csv"
+    assert cli.main(["simulate", str(path), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "validation"
+    assert "true_class" in err["message"]
+    assert draws == []
+    assert not out.exists()
+
+
 def test_model_file_without_sigma_names_model(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"means": [[0.0, 0.0], [2.5, 0.25]]}))
