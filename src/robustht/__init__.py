@@ -1,7 +1,7 @@
 """Robust Gaussian hypothesis testing under l-infinity bounded perturbations.
 
-Decision rules (minimum distance, GLRT, minimax linear, pairwise robust
-linear), adversary constructions, closed-form error predictors, and a
+The four decision rules (minimum distance, GLRT, minimax linear, pairwise
+robust linear), adversary constructions, closed-form error predictors, and a
 seeded Monte Carlo experiment engine with a CLI front end.
 """
 
@@ -59,30 +59,21 @@ from .model import (
     REJECT,
     AttackMode,
     AttackSpec,
-    Decision,
     HypothesisModel,
     TwoLevelProfile,
     pairwise_half_difference,
 )
-from .numerics import (
-    double_sided_relu,
-    gaussian_cdf,
-    gaussian_pdf,
-    q_function,
-    relu_complement,
-    truncated_gaussian_moment,
-)
+from .numerics import gaussian_cdf, gaussian_pdf, q_function, truncated_gaussian_moment
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
     # numerics
-    "double_sided_relu", "relu_complement", "gaussian_pdf", "gaussian_cdf",
-    "q_function", "truncated_gaussian_moment",
+    "gaussian_pdf", "gaussian_cdf", "q_function", "truncated_gaussian_moment",
     # model
     "REJECT", "HypothesisModel", "TwoLevelProfile", "AttackMode", "AttackSpec",
-    "Decision", "pairwise_half_difference",
+    "pairwise_half_difference",
     # classifiers
     "ClassifierKind", "LinearRule", "minimax_linear_rule", "MinDistanceClassifier",
     "GlrtClassifier", "MinimaxLinearClassifier", "PairwiseRobustLinearClassifier",

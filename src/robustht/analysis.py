@@ -335,7 +335,7 @@ def sigma_for_target_error(
             )
             return est.value, est.ci_halfwidth
 
-    lo = hi = float(profile.eps) if profile.eps > 0 else 1.0
+    lo = hi = float(profile.eps)
     e_hi, _ = err(hi)
     grow = 0
     while e_hi < target_error:

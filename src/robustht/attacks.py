@@ -199,7 +199,7 @@ def noise_aware_labels(
     true_class: int,
     strength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decisions under the optimal noise-aware attack, one row per noise draw.
+    """Labels under the optimal noise-aware attack, one row per noise draw.
 
     base holds the unattacked observations mu_true + N, shape (n, d).
     Knowing the noise realization, the adversary replays each of the M-1
@@ -303,7 +303,10 @@ def brute_force_attack_oracle(
     per-coordinate fast path; everything else goes through the
     classifier's batch decisions in grid chunks.
     """
-    j = model.check_class(true_class)
+    try:
+        j = model.check_class(true_class)
+    except ValueError as exc:
+        raise ValueError(f"true_class: {exc}") from None
     d = model.dim
     if d > 3:
         raise UnsupportedDimensionError(

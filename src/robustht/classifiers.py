@@ -1,12 +1,12 @@
-"""Decision rules: minimum distance, GLRT, minimax linear, pairwise robust linear.
+"""The decision rules: minimum distance, GLRT, minimax linear, pairwise robust linear.
 
 All classifiers are immutable after construction and classification is pure,
-so instances can be shared freely across threads. `decide_batch` takes an
-(n, d) array of observations and is what the Monte Carlo engine, the
-noise-aware replay and the grid oracle drive; `classify` wraps a single
-observation into a Decision with surfaced costs. Ties always resolve to the
-lowest class index, which keeps golden tests deterministic and is
-measure-zero under continuous noise.
+so instances can be shared freely across threads. Each exposes one decision
+call, `decide_batch`, which takes an (n, d) array of observations (or one
+d-vector) and returns n labels; the Monte Carlo engine, the noise-aware
+replay and the grid oracle all drive it. Ties always resolve to the lowest
+class index, which keeps golden tests deterministic and is measure-zero
+under continuous noise.
 
 Minimum distance and the GLRT share one decision kernel: it visits the M
 classes in turn with a single workspace of about 2^16 values (one row when
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REJECT, Decision, HypothesisModel, pairwise_half_difference
-from .numerics import relu_complement
+from .model import REJECT, HypothesisModel, pairwise_half_difference
 
 __all__ = [
     "ClassifierKind",
@@ -50,18 +49,13 @@ class LinearRule:
     """Affine statistic w^T x + b for one binary test; decide the first class
     of the pair when the statistic is positive.
 
-    degenerate means the soft threshold nulled every coordinate of the
-    separation vector: the statistic is identically 0 and the rule always
-    falls back to the lower-indexed class. That is a risk-1/2 rule and is
-    flagged rather than hidden.
+    When the soft threshold nulls every coordinate of the separation vector,
+    the weight is all zero, the statistic is identically 0 and the rule
+    always falls back to the lower-indexed class: a risk-1/2 rule.
     """
 
     weight: np.ndarray
     offset: float
-
-    @property
-    def degenerate(self) -> bool:
-        return bool(np.all(self.weight == 0.0))
 
     def statistic(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -84,11 +78,10 @@ def minimax_linear_rule(model: HypothesisModel, j: int, k: int, eps: float) -> L
     return LinearRule(weight=weight, offset=float(-weight @ midpoint))
 
 
-def _as_batch(x) -> tuple[np.ndarray, bool]:
+def _as_batch(x) -> np.ndarray:
+    """x as an (n, d) float array; one d-vector becomes a single row."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
+    return x[None, :] if x.ndim == 1 else x
 
 
 # float64 values per decision workspace (512 KB): small enough to stay in a
@@ -122,7 +115,7 @@ def _nearest_class(x, means: np.ndarray, eps: float | None) -> np.ndarray:
     stays cache-sized whatever n is. Each row's cost is summed on its own,
     so chunking does not change a single bit of it.
     """
-    xb, _ = _as_batch(x)
+    xb = _as_batch(x)
     n, d = xb.shape
     labels = np.zeros(n, dtype=np.int64)
     best = np.full(n, np.inf)
@@ -137,12 +130,6 @@ def _nearest_class(x, means: np.ndarray, eps: float | None) -> np.ndarray:
     return labels
 
 
-def _single_decision(x, means: np.ndarray, eps: float | None) -> Decision:
-    xb, _ = _as_batch(x)
-    costs = np.array([cost[0] for cost in _class_costs(xb[:1], means, eps)])
-    return Decision(label=int(np.argmin(costs)), costs=costs)
-
-
 class MinDistanceClassifier:
     """Nearest-mean rule, optimal without an adversary."""
 
@@ -153,9 +140,6 @@ class MinDistanceClassifier:
 
     def decide_batch(self, x) -> np.ndarray:
         return _nearest_class(x, self.model.means, None)
-
-    def classify(self, x) -> Decision:
-        return _single_decision(x, self.model.means, None)
 
 
 class GlrtClassifier:
@@ -176,22 +160,8 @@ class GlrtClassifier:
         self.model = model
         self.eps = float(eps)
 
-    def estimate_perturbation(self, x, k: int) -> np.ndarray:
-        """Most favorable in-budget perturbation under hypothesis k."""
-        k = self.model.check_class(k)
-        x = np.asarray(x, dtype=float)
-        return relu_complement(x - self.model.means[k], self.eps)
-
-    def cost(self, x, k: int) -> float:
-        k = self.model.check_class(k)
-        xb, _ = _as_batch(x)
-        return float(next(_class_costs(xb[:1], self.model.means[k:k + 1], self.eps))[0])
-
     def decide_batch(self, x) -> np.ndarray:
         return _nearest_class(x, self.model.means, self.eps)
-
-    def classify(self, x) -> Decision:
-        return _single_decision(x, self.model.means, self.eps)
 
 
 class MinimaxLinearClassifier:
@@ -210,20 +180,10 @@ class MinimaxLinearClassifier:
         self.eps = float(eps)
         self.rule = minimax_linear_rule(model, 0, 1, eps)
 
-    @property
-    def degenerate(self) -> bool:
-        return self.rule.degenerate
-
     def decide_batch(self, x) -> np.ndarray:
-        xb, _ = _as_batch(x)
-        s = self.rule.statistic(xb)
+        s = self.rule.statistic(_as_batch(x))
         # statistic > 0 decides class 0; a tie at exactly 0 also goes to 0
         return (s < 0).astype(np.int64)
-
-    def classify(self, x) -> Decision:
-        s = float(self.rule.statistic(np.asarray(x, dtype=float)))
-        label = 0 if s >= 0 else 1
-        return Decision(label=label, costs=np.array([-s, s]))
 
 
 class PairwiseRobustLinearClassifier:
@@ -245,17 +205,8 @@ class PairwiseRobustLinearClassifier:
             for j, k in itertools.combinations(range(model.num_classes), 2)
         }
 
-    def pairwise_statistics(self, x) -> dict[tuple[int, int], float | np.ndarray]:
-        """Oriented statistics s_{jk}; positive favors j over k."""
-        xb, single = _as_batch(x)
-        out = {}
-        for pair, rule in self.rules.items():
-            s = rule.statistic(xb)
-            out[pair] = float(s[0]) if single else s
-        return out
-
     def decide_batch(self, x) -> np.ndarray:
-        xb, _ = _as_batch(x)
+        xb = _as_batch(x)
         m = self.model.num_classes
         wins = np.ones((xb.shape[0], m), dtype=bool)
         for (j, k), rule in self.rules.items():
@@ -267,10 +218,6 @@ class PairwiseRobustLinearClassifier:
         # at most one class can win all of its tests
         labels[winner_exists] = np.argmax(wins[winner_exists], axis=1)
         return labels
-
-    def classify(self, x) -> Decision:
-        label = int(self.decide_batch(np.asarray(x, dtype=float))[0])
-        return Decision(label=label, costs=None)
 
 
 def build_classifier(kind: ClassifierKind, model: HypothesisModel, eps: float):

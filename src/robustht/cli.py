@@ -50,6 +50,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else _EXIT_OK
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"threads: must be >= 1, got {args.threads}")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         _emit_error("validation", exc)
@@ -217,8 +219,7 @@ def _cmd_predict(args) -> int:
 
     def run(sink):
         for kappa in args.kappa:
-            snr_mm = snr_minimax(args.d, args.p, args.a, kappa / args.eps if args.eps else 0.0,
-                                 args.eps, args.sigma)
+            snr_mm = snr_minimax(args.d, args.p, args.a, kappa / args.eps, args.eps, args.sigma)
             sink(_predict_row(kappa, ClassifierKind.MINIMAX_LINEAR,
                               error_from_snr(snr_mm), METHOD_Q_OF_SNR, args.seed))
             if 0 <= kappa <= args.eps:

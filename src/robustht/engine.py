@@ -260,14 +260,16 @@ class ExperimentConfig:
             for value in self.sweep_values:
                 if not value > 0:
                     raise ConfigError(f"sweep.values: (eps/sigma)^2 must be > 0, got {value}")
-        elif self.model is None and self.sigma is None:
-            raise ConfigError("sigma: required when sweeping a profile over kappa")
+        else:
+            if self.model is None and self.sigma is None:
+                raise ConfigError("sigma: required when sweeping a profile over kappa")
+            for value in self.sweep_values:
+                if not 0 <= value <= self.eps + 1e-12:
+                    raise ConfigError(f"sweep.values: kappa must lie in [0, eps], got {value}")
         for kappa in self.kappas:
             if kappa is None:
                 continue
-            if not isinstance(kappa, numbers.Real):
-                raise ConfigError(f"kappas: each must be a number, got {kappa!r}")
-            if not 0 <= kappa <= self.eps + 1e-12:
+            if not 0 <= _number("kappas", kappa) <= self.eps + 1e-12:
                 raise ConfigError(f"kappas: each must lie in [0, eps], got {kappa}")
 
     def resolved_kappas(self) -> list[float]:
@@ -480,6 +482,22 @@ def model_from_dict(raw: dict) -> HypothesisModel:
         raise ConfigError(f"model: {exc}") from exc
 
 
+def _number(name: str, value) -> float:
+    """A JSON number as a float; anything else is a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """A JSON number with no fractional part (2 or 2.0, not 2.7) as an int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name}: expected an integer, got {value!r}")
+
+
 def _config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
@@ -503,7 +521,7 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         p = raw["profile"]
         try:
             profile = TwoLevelProfile(
-                d=int(p["d"]), p=float(p["p"]), a=float(p["a"]),
+                d=_integer("d", p["d"]), p=float(p["p"]), a=float(p["a"]),
                 b=float(p["b"]), eps=float(p["eps"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -525,21 +543,25 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
     sweep = need("sweep")
     if not isinstance(sweep, dict) or "axis" not in sweep or "values" not in sweep:
         raise ConfigError("sweep: expected an object with 'axis' and 'values'")
+    if not isinstance(sweep["values"], list):
+        raise ConfigError(f"sweep.values: expected a list, got {sweep['values']!r}")
 
     config = ExperimentConfig(
-        eps=float(need("eps")),
+        eps=_number("eps", need("eps")),
         classifiers=classifiers,
         attack_modes=modes,
         sweep_axis=str(sweep["axis"]),
-        sweep_values=[float(v) for v in sweep["values"]],
-        trials=int(raw.get("trials", 100_000)),
-        seed=int(raw.get("seed", 0)),
+        sweep_values=[_number("sweep.values", v) for v in sweep["values"]],
+        trials=_integer("trials", raw.get("trials", 100_000)),
+        seed=_integer("seed", raw.get("seed", 0)),
         model=model,
         profile=profile,
-        sigma=float(raw["sigma"]) if "sigma" in raw else None,
+        sigma=_number("sigma", raw["sigma"]) if "sigma" in raw else None,
         kappas=kappas,
-        true_class=int(raw["true_class"]) if raw.get("true_class") is not None else None,
-        target_error=float(raw["target_error"]) if "target_error" in raw else None,
+        true_class=(_integer("true_class", raw["true_class"])
+                    if raw.get("true_class") is not None else None),
+        target_error=(_number("target_error", raw["target_error"])
+                      if "target_error" in raw else None),
         calibration_method=str(raw.get("calibration_method", METHOD_CLT_EXACT)),
     )
     config.validate()

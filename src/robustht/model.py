@@ -1,4 +1,4 @@
-"""Problem-instance data model: hypotheses, attacks and decisions.
+"""Problem-instance data model: hypotheses, mean profiles and attacks.
 
 The observation model is X = mu_k + e + N with N ~ Normal(0, sigma^2 I),
 where e is an l-infinity bounded perturbation chosen by the adversary.
@@ -17,7 +17,6 @@ __all__ = [
     "TwoLevelProfile",
     "AttackMode",
     "AttackSpec",
-    "Decision",
     "pairwise_half_difference",
 ]
 
@@ -109,8 +108,8 @@ class TwoLevelProfile:
 
     A fraction p of the d coordinates sit at a*eps and the rest at b*eps,
     with a > 1 (survives thresholding at eps) and 0 <= b <= 1 (nulled by
-    it). p*d must be an integer so closed forms and sampled models agree
-    exactly.
+    it). eps must be > 0, since eps = 0 puts both means at 0. p*d must be
+    an integer so closed forms and sampled models agree exactly.
     """
 
     d: int
@@ -128,8 +127,8 @@ class TwoLevelProfile:
             raise ValueError(f"a must be > 1, got {self.a}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if self.eps < 0:
-            raise ValueError(f"eps must be >= 0, got {self.eps}")
+        if not self.eps > 0:
+            raise ValueError(f"eps must be > 0, got {self.eps}")
         n_a = self.p * self.d
         if abs(n_a - round(n_a)) > 1e-9 or not 0 < round(n_a) < self.d:
             raise ValueError(
@@ -189,18 +188,6 @@ class AttackSpec:
     @staticmethod
     def none() -> "AttackSpec":
         return AttackSpec(budget=0.0, strength=0.0, mode=AttackMode.NONE)
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Classifier output: a label (or REJECT) plus optional per-class costs."""
-
-    label: int
-    costs: np.ndarray | None = None
-
-    @property
-    def is_reject(self) -> bool:
-        return self.label == REJECT
 
 
 def pairwise_half_difference(model: HypothesisModel, j: int, k: int) -> np.ndarray:

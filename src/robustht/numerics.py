@@ -1,20 +1,14 @@
-"""Scalar special functions and soft-threshold nonlinearities.
+"""Gaussian special functions behind the closed-form error predictors.
 
-Everything here is pure and stateless. The double-sided ReLU and its
-complement are the workhorses of every decision rule in the package;
-the Gaussian tail and truncated-moment helpers back the closed-form
-error predictors.
+Everything here is pure and stateless: the standard normal density, CDF
+and upper tail, and truncated moments of a centred Gaussian.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
 __all__ = [
-    "double_sided_relu",
-    "relu_complement",
     "gaussian_pdf",
     "gaussian_cdf",
     "q_function",
@@ -23,29 +17,6 @@ __all__ = [
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def double_sided_relu(x, eps: float):
-    """Soft threshold: sign(x) * max(0, |x| - eps).
-
-    Zero on [-eps, eps], shifted identity outside. Odd, 1-Lipschitz and
-    non-decreasing in x. Accepts scalars or arrays; eps must be >= 0
-    (eps = 0 degrades to the identity).
-    """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    x = np.asarray(x)
-    out = np.sign(x) * np.maximum(0.0, np.abs(x) - eps)
-    return float(out) if out.ndim == 0 else out
-
-
-def relu_complement(x, eps: float):
-    """Clipped residual x - double_sided_relu(x, eps), i.e. x clamped to [-eps, eps]."""
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    x = np.asarray(x)
-    out = np.clip(x, -eps, eps)
-    return float(out) if out.ndim == 0 else out
 
 
 def gaussian_pdf(x: float) -> float:

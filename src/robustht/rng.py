@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BLOCK_SIZE", "block_plan", "noise_block", "trial_noise", "substream"]
+__all__ = ["BLOCK_SIZE", "block_plan", "noise_block", "substream"]
 
 #: Trials per noise block. Fixed: changing it changes every sampled stream.
 BLOCK_SIZE = 8192
@@ -42,10 +42,3 @@ def noise_block(seed: int, block_index: int, rows: int, dim: int) -> np.ndarray:
     """Standard normal (rows, dim) block; row r holds trial block*BLOCK_SIZE + r."""
     return substream(seed, block_index).standard_normal((rows, dim))
 
-
-def trial_noise(seed: int, trial_index: int, dim: int) -> np.ndarray:
-    """Standard normal noise of a single trial, as the block scheme defines it."""
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    b, r = divmod(trial_index, BLOCK_SIZE)
-    return noise_block(seed, b, r + 1, dim)[r]

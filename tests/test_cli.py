@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import robustht.attacks
 import robustht.engine
 from robustht import cli
 
@@ -294,11 +295,24 @@ class TestSubcommandFlags:
         assert argv[-2] in capsys.readouterr().err
 
 
-def test_fixed_attack_mode_rejected_before_sampling(tmp_path, monkeypatch, capsys):
+def _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv) -> str:
+    """Run argv with --out and return its validation message, asserting exit 1,
+    no noise draw and no output file."""
+    out = tmp_path / "out.csv"
     draws = []
-    real = robustht.engine.noise_block
-    monkeypatch.setattr(robustht.engine, "noise_block",
-                        lambda *args: draws.append(args) or real(*args))
+    for module in (robustht.engine, robustht.attacks):
+        real = module.noise_block
+        monkeypatch.setattr(module, "noise_block",
+                            lambda *args, real=real: draws.append(args) or real(*args))
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.splitlines()[-1])
+    assert err["error"] == "validation"
+    assert draws == []
+    assert not out.exists()
+    return err["message"]
+
+
+def test_fixed_attack_mode_rejected_before_sampling(tmp_path, monkeypatch, capsys):
     path = tmp_path / "fixed.json"
     path.write_text(json.dumps({
         "profile": {"d": 20, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
@@ -310,11 +324,8 @@ def test_fixed_attack_mode_rejected_before_sampling(tmp_path, monkeypatch, capsy
         "calibration_method": "monte-carlo",
         "trials": 2000,
     }))
-    assert cli.main(["simulate", str(path)]) == 1
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err["error"] == "validation"
-    assert "attack_modes" in err["message"]
-    assert draws == []
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, ["simulate", str(path)])
+    assert "attack_modes" in message
 
 
 _TERNARY_KAPPA_CONFIG = {
@@ -343,19 +354,54 @@ _DIMENSION_CONFIG = {
 def test_true_class_out_of_range_rejected_before_sampling(
     tmp_path, monkeypatch, capsys, config, true_class
 ):
-    draws = []
-    real = robustht.engine.noise_block
-    monkeypatch.setattr(robustht.engine, "noise_block",
-                        lambda *args: draws.append(args) or real(*args))
     path = tmp_path / "config.json"
     path.write_text(json.dumps({**config, "true_class": true_class}))
-    out = tmp_path / "out.csv"
-    assert cli.main(["simulate", str(path), "--out", str(out)]) == 1
-    err = json.loads(capsys.readouterr().err.splitlines()[-1])
-    assert err["error"] == "validation"
-    assert "true_class" in err["message"]
-    assert draws == []
-    assert not out.exists()
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, ["simulate", str(path)])
+    assert "true_class" in message
+
+
+@pytest.mark.parametrize("field, patch", [
+    ("sweep.values", {"eps": 1.0, "sweep": {"axis": "kappa", "values": [1.5]}}),
+    ("sweep.values", {"sweep": {"axis": "kappa", "values": ["x"]}}),
+    ("eps", {"eps": "abc"}),
+    ("seed", {"seed": "s"}),
+    ("seed", {"seed": 1.5}),
+    ("trials", {"trials": 2.7}),
+    ("true_class", {"true_class": 0.5}),
+], ids=["kappa-above-eps", "value-not-number", "eps-string", "seed-string",
+        "seed-fraction", "trials-fraction", "true-class-fraction"])
+def test_malformed_config_value_names_field(tmp_path, monkeypatch, capsys, field, patch):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_TERNARY_KAPPA_CONFIG, **patch}))
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, ["simulate", str(path)])
+    assert message.startswith(f"{field}:")
+
+
+_SURFACE = ["attack-surface", "--model", "ternary-2d", "--eps", "1", "--trials", "100"]
+
+
+@pytest.mark.parametrize("threads", ["0", "-2"])
+@pytest.mark.parametrize("argv", [["reproduce", "fig8", "--trials", "100"], _SURFACE],
+                         ids=["reproduce", "attack-surface"])
+def test_nonpositive_threads_rejected_before_sampling(tmp_path, monkeypatch, capsys,
+                                                      argv, threads):
+    argv = [*argv, "--threads", threads]
+    assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith("threads:")
+
+
+@pytest.mark.parametrize("true_class", ["5", "-1"])
+def test_surface_true_class_out_of_range_names_field(tmp_path, monkeypatch, capsys,
+                                                     true_class):
+    argv = [*_SURFACE, "--true-class", true_class]
+    assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith("true_class:")
+
+
+def test_predict_zero_eps_rejected_before_output(tmp_path, monkeypatch, capsys):
+    # eps = 0 would put both means of the two-level profile at 0
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, [
+        "predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "0",
+        "--sigma", "1"])
+    assert "eps must be > 0" in message
 
 
 def test_model_file_without_sigma_names_model(tmp_path, capsys):

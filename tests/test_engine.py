@@ -21,7 +21,7 @@ from robustht.engine import (
 )
 from robustht.model import AttackMode, AttackSpec, HypothesisModel, TwoLevelProfile
 from robustht.numerics import q_function
-from robustht.rng import BLOCK_SIZE, block_plan, noise_block, trial_noise
+from robustht.rng import BLOCK_SIZE, block_plan, noise_block
 
 
 class AlwaysRight:
@@ -56,12 +56,6 @@ class TestNoiseStreams:
     def test_blocks_independent_across_index_and_seed(self):
         assert not np.array_equal(noise_block(1, 0, 10, 2), noise_block(1, 1, 10, 2))
         assert not np.array_equal(noise_block(1, 0, 10, 2), noise_block(2, 0, 10, 2))
-
-    def test_trial_noise_matches_block_rows(self):
-        t = BLOCK_SIZE + 7
-        row = trial_noise(9, t, 4)
-        block = noise_block(9, 1, BLOCK_SIZE, 4)
-        np.testing.assert_array_equal(row, block[7])
 
     def test_partial_block_is_prefix(self):
         full = noise_block(5, 0, 100, 3)
@@ -387,9 +381,18 @@ class TestConfigValidation:
             "eps": 1.0, "classifiers": ["glrt"],
             "sweep": {"axis": "eps_over_sigma_sq", "values": [1.0]},
         }
-        for kappas in (["strong"], 0.5):
+        for kappas in (["strong"], 0.5, [True]):
             with pytest.raises(ConfigError, match="kappas"):
                 ExperimentConfig.from_dict({**raw, "kappas": kappas})
+
+    def test_from_dict_fractional_profile_dimension(self):
+        raw = {
+            "profile": {"d": 20.5, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
+            "sigma": 1.0, "eps": 1.0, "classifiers": ["glrt"],
+            "sweep": {"axis": "kappa", "values": [0.5]},
+        }
+        with pytest.raises(ConfigError, match="profile: d: expected an integer"):
+            ExperimentConfig.from_dict(raw)
 
     def test_from_dict_round_trip(self):
         raw = {

@@ -79,6 +79,8 @@ class TestTwoLevelProfile:
             TwoLevelProfile(d=10, p=0.1, a=2.0, b=1.5, eps=1.0)  # b > 1
         with pytest.raises(ValueError):
             TwoLevelProfile(d=10, p=0.15, a=2.0, b=0.5, eps=1.0)  # p*d not integral
+        with pytest.raises(ValueError, match="eps"):
+            TwoLevelProfile(d=10, p=0.1, a=2.0, b=0.5, eps=0.0)  # both means at 0
 
 
 class TestPairwiseHalfDifference:

@@ -2,66 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 from scipy import integrate
 
 from robustht.numerics import (
-    double_sided_relu,
     gaussian_cdf,
     gaussian_pdf,
     q_function,
-    relu_complement,
     truncated_gaussian_moment,
 )
-
-finite_floats = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
-small_eps = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
-
-
-class TestSoftThreshold:
-    def test_null_region(self):
-        assert double_sided_relu(0.5, 1.0) == 0.0
-
-    def test_positive_branch(self):
-        assert double_sided_relu(2.0, 1.0) == 1.0
-
-    def test_odd_symmetry(self):
-        assert double_sided_relu(-3.0, 1.0) == -2.0
-
-    def test_eps_zero_is_identity(self):
-        x = np.linspace(-5, 5, 101)
-        np.testing.assert_array_equal(double_sided_relu(x, 0.0), x)
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            double_sided_relu(1.0, -0.1)
-        with pytest.raises(ValueError):
-            relu_complement(1.0, -0.1)
-
-    @given(finite_floats, small_eps)
-    def test_complement_identity_exact(self, x, eps):
-        # g + f = x with no rounding: f is a clamp, g is x - clamp
-        assert double_sided_relu(x, eps) + relu_complement(x, eps) == x
-
-    @given(finite_floats, small_eps)
-    def test_complement_bounded(self, x, eps):
-        assert abs(relu_complement(x, eps)) <= eps
-
-    @given(finite_floats, finite_floats, small_eps)
-    def test_lipschitz_and_monotone(self, x, y, eps):
-        gx = double_sided_relu(x, eps)
-        gy = double_sided_relu(y, eps)
-        assert abs(gx - gy) <= abs(x - y) * (1 + 1e-12) + 1e-12
-        if x >= y:
-            assert gx >= gy
-
-    def test_complement_examples(self):
-        assert relu_complement(0.5, 1.0) == 0.5
-        assert relu_complement(2.0, 1.0) == 1.0
-        assert relu_complement(-3.0, 1.0) == -1.0
 
 
 class TestGaussianTails:
