@@ -31,7 +31,14 @@ from .model import (
     TwoLevelProfile,
     pairwise_half_difference,
 )
-from .numerics import gaussian_pdf, q_function, truncated_gaussian_moment
+# truncated_gaussian_moment stays bound here: bench/tracing.py counts its calls
+# through this name
+from .numerics import (  # noqa: F401
+    gaussian_pdf,
+    q_function,
+    truncated_gaussian_moment,
+    truncated_gaussian_moments,
+)
 from .rng import block_plan, noise_block
 
 __all__ = [
@@ -146,14 +153,14 @@ def _piecewise_cost_polys(mu_abs: float, eps: float, kappa: float):
     their breakpoints +-eps at four (not necessarily distinct) values of N;
     between consecutive breakpoints each squared term is either zero or a
     shifted square, so their difference is a quadratic with constant
-    coefficients. Returns (lo, hi, coeffs) triples with ascending-power
-    coefficients.
+    coefficients. Returns (lo, hi, coeffs) triples, coeffs being the three
+    ascending-power coefficients as floats.
     """
     shifts = (2.0 * mu_abs - kappa, -kappa)  # argument = N + shift
     points = sorted({s for shift in shifts for s in (eps - shift, -eps - shift)})
     edges = [-math.inf, *points, math.inf]
 
-    def branch_coeffs(shift: float, lo: float, hi: float) -> np.ndarray:
+    def branch_coeffs(shift: float, lo: float, hi: float) -> tuple[float, float, float]:
         # representative point of the open interval
         if math.isinf(lo):
             probe = hi - 1.0
@@ -167,15 +174,16 @@ def _piecewise_cost_polys(mu_abs: float, eps: float, kappa: float):
         elif u <= -eps:
             c = shift + eps  # (N + shift + eps)^2
         else:
-            return np.zeros(3)
-        return np.array([c * c, 2.0 * c, 1.0])
+            return 0.0, 0.0, 0.0
+        return c * c, 2.0 * c, 1.0
 
     pieces = []
     for lo, hi in zip(edges[:-1], edges[1:]):
         if not lo < hi:
             continue
-        coeffs = branch_coeffs(shifts[0], lo, hi) - branch_coeffs(shifts[1], lo, hi)
-        pieces.append((lo, hi, coeffs))
+        p0, p1, p2 = branch_coeffs(shifts[0], lo, hi)
+        q0, q1, q2 = branch_coeffs(shifts[1], lo, hi)
+        pieces.append((lo, hi, (p0 - q0, p1 - q1, p2 - q2)))
     return pieces
 
 
@@ -190,16 +198,17 @@ def cost_difference_moments(
     sign flip of the coordinate.
     """
     _check_attack_params(eps, kappa, sigma)
-    pieces = _piecewise_cost_polys(abs(mu), eps, kappa)
     mean = 0.0
     second = 0.0
-    for lo, hi, coeffs in pieces:
-        if not np.any(coeffs):
+    for lo, hi, (c0, c1, c2) in _piecewise_cost_polys(abs(mu), eps, kappa):
+        if not (c0 or c1 or c2):
             continue
-        sq = np.polynomial.polynomial.polymul(coeffs, coeffs)
-        moments = [truncated_gaussian_moment(n, sigma, lo, hi) for n in range(5)]
-        mean += sum(c * moments[n] for n, c in enumerate(coeffs))
-        second += sum(c * moments[n] for n, c in enumerate(sq))
+        m0, m1, m2, m3, m4 = truncated_gaussian_moments(sigma, lo, hi)
+        mean += c0 * m0 + c1 * m1 + c2 * m2
+        # coefficients of the squared branch, each summed in np.convolve's order
+        second += (c0 * c0 * m0 + (c0 * c1 + c1 * c0) * m1
+                   + (c0 * c2 + c1 * c1 + c2 * c0) * m2
+                   + (c1 * c2 + c2 * c1) * m3 + c2 * c2 * m4)
     variance = max(0.0, second - mean * mean)
     return CoordinateMoments(mean=mean, variance=variance, kind=MOMENTS_EXACT_C)
 
@@ -224,12 +233,19 @@ def clt_error(
     statistic is then a constant, and ties favor the true class.
     """
     half = _binary_half_difference(model)
-    values, counts = np.unique(np.abs(half), return_counts=True)
+    levels, counts = np.unique(np.abs(half), return_counts=True)
+    return _clt_error_from_levels(levels, counts, eps, kappa, model.sigma, use_lower_bound)
+
+
+def _clt_error_from_levels(
+    levels, counts, eps: float, kappa: float, sigma: float, use_lower_bound: bool = False
+) -> ErrorEstimate:
+    """clt_error for a half-difference with `counts[i]` coordinates at |value| levels[i]."""
     moment_fn = y_bound_moments if use_lower_bound else cost_difference_moments
     mean_sum = 0.0
     var_sum = 0.0
-    for value, count in zip(values, counts):
-        m = moment_fn(float(value), eps, kappa, model.sigma)
+    for value, count in zip(levels, counts):
+        m = moment_fn(float(value), eps, kappa, sigma)
         mean_sum += count * m.mean
         var_sum += count * m.variance
     method = METHOD_CLT_LOWER_BOUND if use_lower_bound else METHOD_CLT_EXACT
@@ -318,8 +334,11 @@ def sigma_for_target_error(
         raise ValueError(f"method must be clt-analytic or monte-carlo, got {method!r}")
 
     if method == METHOD_CLT_EXACT:
+        # the profile's half-difference is its mean vector, whatever sigma is
+        levels, counts = np.unique(profile.mean_vector(), return_counts=True)
+
         def err(sigma: float) -> tuple[float, float]:
-            est = clt_error(profile.to_model(sigma), profile.eps, kappa)
+            est = _clt_error_from_levels(levels, counts, profile.eps, kappa, sigma)
             return est.value, 0.0
     else:
         from .engine import monte_carlo_error

@@ -8,6 +8,7 @@ failure. Failures also emit one machine-readable JSON line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -65,7 +66,13 @@ def _emit_error(kind: str, exc: Exception) -> None:
     sys.stderr.write(json.dumps({"error": kind, "message": str(exc)}) + "\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on the first `main` call and reused after it.
+
+    Parsing does not change the parser: each call gets a fresh namespace
+    filled from the same defaults.
+    """
     parser = argparse.ArgumentParser(
         prog="robustht",
         description="Gaussian hypothesis testing under l-infinity adversarial attacks: "
@@ -258,6 +265,8 @@ def _predict_row(kappa, kind, error, method, seed) -> dict:
 
 
 def _cmd_surface(args) -> int:
+    if args.grid < 1:
+        raise ConfigError(f"grid: must be >= 1, got {args.grid}")
     model = _load_model(args.model)
     _warn_nonuniform(model)
     classifier = build_classifier(ClassifierKind(args.classifier), model, args.eps)

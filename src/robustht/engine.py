@@ -256,6 +256,12 @@ class ExperimentConfig:
                 raise ConfigError("sweep.values: dimensions must be positive integers")
             if len(self.kappas) != 1:
                 raise ConfigError(f"kappas: the dimension axis takes one value, got {self.kappas}")
+            if self.profile.eps != self.eps:
+                # sigma is calibrated at the profile's eps, then simulated at eps
+                raise ConfigError(
+                    f"eps: the dimension axis needs eps equal to profile.eps, got "
+                    f"eps = {self.eps} and profile.eps = {self.profile.eps}"
+                )
         elif self.sweep_axis == SWEEP_EPS_OVER_SIGMA_SQ:
             for value in self.sweep_values:
                 if not value > 0:

@@ -2,6 +2,8 @@
 
 Everything here is pure and stateless: the standard normal density, CDF
 and upper tail, and truncated moments of a centred Gaussian.
+`truncated_gaussian_moments` returns all five orders M_0..M_4 from one pass
+of the recursion; `truncated_gaussian_moment` reads one order from it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ __all__ = [
     "gaussian_cdf",
     "q_function",
     "truncated_gaussian_moment",
+    "truncated_gaussian_moments",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -40,7 +43,16 @@ def q_function(x: float) -> float:
 
 
 def truncated_gaussian_moment(n: int, sigma: float, lo: float, hi: float) -> float:
-    """E[N^n * 1{lo <= N <= hi}] for N ~ Normal(0, sigma^2), n in 0..4.
+    """E[N^n * 1{lo <= N <= hi}] for N ~ Normal(0, sigma^2), n in 0..4."""
+    if not 0 <= n <= 4:
+        raise ValueError(f"moment order must be in 0..4, got {n}")
+    return truncated_gaussian_moments(sigma, lo, hi)[n]
+
+
+def truncated_gaussian_moments(
+    sigma: float, lo: float, hi: float
+) -> tuple[float, float, float, float, float]:
+    """(M_0, ..., M_4) with M_n = E[N^n * 1{lo <= N <= hi}], N ~ Normal(0, sigma^2).
 
     Uses the standard integration-by-parts recursion
         M_n = sigma^2 * ((n-1) M_{n-2} + lo^{n-1} p(lo) - hi^{n-1} p(hi)),
@@ -48,29 +60,21 @@ def truncated_gaussian_moment(n: int, sigma: float, lo: float, hi: float) -> flo
     Degree 4 is all the error analysis needs: squared cost-difference
     branches are polynomials of degree <= 4 in the noise.
     """
-    if not 0 <= n <= 4:
-        raise ValueError(f"moment order must be in 0..4, got {n}")
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     if not lo < hi:
         raise ValueError(f"empty integration range: lo={lo}, hi={hi}")
-
-    def dens(v: float) -> float:
-        if math.isinf(v):
-            return 0.0
-        return gaussian_pdf(v / sigma) / sigma
-
-    def edge(v: float, k: int) -> float:
-        # v^k * p(v); zero at infinite endpoints since the density wins
-        if math.isinf(v):
-            return 0.0
-        return v**k * dens(v)
-
+    # v^k p(v) for k = 0..3 at each end; zero wherever the density is, which
+    # covers an infinite end and keeps v^3 from overflowing at a far one
+    ends = []
+    for v in (lo, hi):
+        p = gaussian_pdf(v / sigma) / sigma
+        ends.append((p, v * p, v**2 * p, v**3 * p) if p else (0.0, 0.0, 0.0, 0.0))
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = ends
     s2 = sigma * sigma
-    m = [0.0] * (n + 1)
-    m[0] = gaussian_cdf(hi / sigma) - gaussian_cdf(lo / sigma)
-    if n >= 1:
-        m[1] = s2 * (dens(lo) - dens(hi))
-    for k in range(2, n + 1):
-        m[k] = s2 * ((k - 1) * m[k - 2] + edge(lo, k - 1) - edge(hi, k - 1))
-    return m[n]
+    m0 = gaussian_cdf(hi / sigma) - gaussian_cdf(lo / sigma)
+    m1 = s2 * (a0 - b0)
+    m2 = s2 * (m0 + a1 - b1)
+    m3 = s2 * (2 * m1 + a2 - b2)
+    m4 = s2 * (3 * m2 + a3 - b3)
+    return m0, m1, m2, m3, m4

@@ -23,7 +23,7 @@ from robustht.analysis import _piecewise_cost_polys
 from robustht.classifiers import GlrtClassifier, per_coordinate_cost_difference
 from robustht.engine import monte_carlo_error
 from robustht.model import AttackMode, AttackSpec, HypothesisModel, TwoLevelProfile
-from robustht.numerics import gaussian_pdf, q_function
+from robustht.numerics import gaussian_pdf, q_function, truncated_gaussian_moment
 
 
 def gauss_quad(fn, sigma, lo, hi):
@@ -106,6 +106,22 @@ class TestYBoundMoments:
             y_bound_moments(1.0, -0.5, 0.0, 1.0)
 
 
+def _per_order_cost_moments(mu, eps, kappa, sigma):
+    """Moments of C with one truncated-moment call per order and the squared
+    branch from polymul, summed as the per-order implementation did."""
+    mean = 0.0
+    second = 0.0
+    for lo, hi, coeffs in _piecewise_cost_polys(abs(mu), eps, kappa):
+        coeffs = np.asarray(coeffs, dtype=float)
+        if not np.any(coeffs):
+            continue
+        sq = np.polynomial.polynomial.polymul(coeffs, coeffs)
+        moments = [truncated_gaussian_moment(n, sigma, lo, hi) for n in range(5)]
+        mean += sum(c * moments[n] for n, c in enumerate(coeffs))
+        second += sum(c * moments[n] for n, c in enumerate(sq))
+    return mean, max(0.0, second - mean * mean)
+
+
 class TestCostDifferenceMoments:
     def test_zero_mean_coordinate_vanishes(self):
         m = cost_difference_moments(0.0, 1.0, 1.0, 1.0)
@@ -117,6 +133,16 @@ class TestCostDifferenceMoments:
         m = cost_difference_moments(1.0, 0.0, 0.0, 1.0)
         assert m.mean == pytest.approx(4.0, rel=1e-12)
         assert m.variance == pytest.approx(16.0, rel=1e-12)
+
+    def test_bit_identical_to_per_order_reference(self):
+        # |mu| <= eps puts an atom at 0; kappa in {0, eps}; sigma over 5 decades
+        eps = 0.8
+        for sigma in np.geomspace(1e-3, 1e2, 11):
+            for mu in (0.0, 0.3, -0.5, 0.8, 0.8000001, 1.1, -1.6, 2.5, 40.0):
+                for kappa in (0.0, 0.35, eps):
+                    got = cost_difference_moments(mu, eps, kappa, float(sigma))
+                    mean, variance = _per_order_cost_moments(mu, eps, kappa, float(sigma))
+                    assert got.mean == mean and got.variance == variance, (mu, kappa, sigma)
 
     def test_piecewise_matches_direct_formula(self):
         # the interval polynomials must agree with the soft-threshold
@@ -295,6 +321,27 @@ class TestLowNoiseThresholds:
             low_noise_thresholds(m)
 
 
+def _clt_bisection(err, eps, target, rel_tol=1e-3):
+    """The CLT sigma search: a geometric bracket from eps, then bisection."""
+    lo = hi = float(eps)
+    while err(hi) < target:
+        hi *= 2.0
+    while err(lo) > target:
+        lo /= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        e_mid = err(mid)
+        if abs(e_mid - target) <= rel_tol * target:
+            return mid
+        if e_mid < target:
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo) <= 1e-12 * hi:
+            return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi)
+
+
 class TestSigmaSearch:
     def test_analytic_self_consistency(self):
         profile = TwoLevelProfile(d=50, p=0.3, a=1.1, b=0.9, eps=1.0)
@@ -324,6 +371,18 @@ class TestSigmaSearch:
             true_class=0, trials=20_000, seed=1,
         )
         assert abs(est.value - 0.1) <= max(est.ci_halfwidth, 1e-3 * 0.1) + 1e-12
+
+    @pytest.mark.parametrize("profile, kappa, target", [
+        (TwoLevelProfile(d=50, p=0.3, a=1.1, b=0.9, eps=1.0), 1.0, 0.02),
+        (TwoLevelProfile(d=40, p=0.25, a=1.5, b=0.0, eps=1.0), 0.5, 0.01),
+        (TwoLevelProfile(d=20, p=0.1, a=1.9, b=0.6, eps=0.7), 0.0, 0.04),
+    ], ids=["fig5-like", "b-zero", "kappa-zero"])
+    def test_clt_search_equals_bisection_on_clt_error(self, profile, kappa, target):
+        def err(sigma):
+            return clt_error(profile.to_model(sigma), profile.eps, kappa).value
+
+        assert sigma_for_target_error(profile, kappa, target) == _clt_bisection(err, profile.eps,
+                                                                                 target)
 
     def test_target_validation(self):
         profile = TwoLevelProfile(d=10, p=0.1, a=2.0, b=0.5, eps=1.0)

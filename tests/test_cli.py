@@ -411,3 +411,47 @@ def test_model_file_without_sigma_names_model(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"] == "validation"
     assert err["message"].startswith("model:")
+
+
+def test_dimension_sweep_with_other_eps_than_profile_rejected(tmp_path, monkeypatch, capsys):
+    # sigma is calibrated at profile.eps, so another eps would simulate a different problem
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_DIMENSION_CONFIG,
+                                "profile": {**_DIMENSION_CONFIG["profile"], "eps": 2.0}}))
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, ["simulate", str(path)])
+    assert message.startswith("eps:")
+
+
+@pytest.mark.parametrize("grid", ["0", "-3"])
+def test_surface_nonpositive_grid_names_field(tmp_path, monkeypatch, capsys, grid):
+    argv = [*_SURFACE, "--grid", grid]
+    assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith("grid:")
+
+
+def test_parser_reuse_leaks_nothing_between_calls(tmp_path, monkeypatch, capsys):
+    # one process, one parser: each call must print what it prints as a process's first call
+    monkeypatch.setenv("COLUMNS", "80")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**_TERNARY_KAPPA_CONFIG, "seed": 11}))
+    calls = [
+        ["reproduce", "fig3", "--seed", "5", "--trials", "2000"],
+        ["simulate", str(config)],
+        ["predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+         "--sigma", "0.4", "--kappa", "0,1"],
+        ["simulate", "--help"],
+        ["predict", "--d", "twenty"],
+        ["simulate", str(config)],
+    ]
+    outputs = []
+    for argv in calls:
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        outputs.append((code, captured.out, captured.err))
+    for argv, got in zip(calls, outputs):
+        fresh = run_cli(*argv)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert outputs[3][0] == 0 and "usage: robustht simulate" in outputs[3][1]
+    assert outputs[4][0] == 2 and "--d: invalid int value" in outputs[4][2]
+    seeds = {row.split(",")[-1] for row in outputs[1][1].splitlines()[1:]}
+    assert seeds == {"11"}
+    assert outputs[5] == outputs[1]

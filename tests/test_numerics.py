@@ -9,6 +9,7 @@ from robustht.numerics import (
     gaussian_pdf,
     q_function,
     truncated_gaussian_moment,
+    truncated_gaussian_moments,
 )
 
 
@@ -107,3 +108,48 @@ class TestTruncatedMoments:
             truncated_gaussian_moment(2, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             truncated_gaussian_moment(2, 1.0, 2.0, -2.0)
+
+    def test_one_pass_equals_each_order_exactly(self):
+        inf = math.inf
+        ends = [(-inf, inf), (-inf, 0.3), (-1.2, inf), (-0.5, 2.5), (1.0, 1.0001),
+                (-40.0, -39.0), (-inf, -3.0), (2.0, inf)]
+        for sigma in (1e-3, 0.3, 1.0, 7.0, 1e2):
+            for lo, hi in ends:
+                moments = truncated_gaussian_moments(sigma, lo, hi)
+                assert len(moments) == 5
+                for n in range(5):
+                    assert moments[n] == truncated_gaussian_moment(n, sigma, lo, hi)
+                    assert moments[n] == _per_order_recursion(n, sigma, lo, hi)
+
+    def test_far_end_acts_as_infinite(self):
+        # the density underflows long before v^3 would overflow
+        inf = math.inf
+        assert truncated_gaussian_moments(1.0, -1e200, 0.0) == truncated_gaussian_moments(
+            1.0, -inf, 0.0)
+        assert truncated_gaussian_moments(0.5, 1.0, 1e200) == truncated_gaussian_moments(
+            0.5, 1.0, inf)
+
+    def test_one_pass_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            truncated_gaussian_moments(0.0, 0.0, 1.0)
+        with pytest.raises(ValueError):
+            truncated_gaussian_moments(1.0, 1.0, 1.0)
+
+
+def _per_order_recursion(n, sigma, lo, hi):
+    """The recursion run from M_0 up to order n alone, as one call per order did."""
+
+    def dens(v):
+        return 0.0 if math.isinf(v) else gaussian_pdf(v / sigma) / sigma
+
+    def edge(v, k):
+        return 0.0 if math.isinf(v) else v**k * dens(v)
+
+    s2 = sigma * sigma
+    m = [0.0] * (n + 1)
+    m[0] = gaussian_cdf(hi / sigma) - gaussian_cdf(lo / sigma)
+    if n >= 1:
+        m[1] = s2 * (dens(lo) - dens(hi))
+    for k in range(2, n + 1):
+        m[k] = s2 * ((k - 1) * m[k - 2] + edge(lo, k - 1) - edge(hi, k - 1))
+    return m[n]
