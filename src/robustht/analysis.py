@@ -242,13 +242,18 @@ def _clt_error_from_levels(
 ) -> ErrorEstimate:
     """clt_error for a half-difference with `counts[i]` coordinates at |value| levels[i]."""
     moment_fn = y_bound_moments if use_lower_bound else cost_difference_moments
+    moments = [moment_fn(float(value), eps, kappa, sigma) for value in levels]
+    method = METHOD_CLT_LOWER_BOUND if use_lower_bound else METHOD_CLT_EXACT
+    return _clt_error_from_moments(moments, counts, method)
+
+
+def _clt_error_from_moments(moments, counts, method: str) -> ErrorEstimate:
+    """The CLT estimate from each level's moments, `counts[i]` coordinates at level i."""
     mean_sum = 0.0
     var_sum = 0.0
-    for value, count in zip(levels, counts):
-        m = moment_fn(float(value), eps, kappa, sigma)
+    for m, count in zip(moments, counts):
         mean_sum += count * m.mean
         var_sum += count * m.variance
-    method = METHOD_CLT_LOWER_BOUND if use_lower_bound else METHOD_CLT_EXACT
     if var_sum <= 0.0:
         return ErrorEstimate(value=0.0 if mean_sum >= 0 else 1.0, method=method)
     return ErrorEstimate(value=q_function(mean_sum / math.sqrt(var_sum)), method=method)

@@ -300,8 +300,10 @@ def brute_force_attack_oracle(
     l-infinity ball at desk scale (d <= 3), with common random numbers
     across grid points. Noise is drawn and counted one block at a time.
     Binary models with cost- or statistic-separable rules take a
-    per-coordinate fast path; everything else goes through the
-    classifier's batch decisions in grid chunks.
+    per-coordinate fast path; the GLRT and minimum distance with more
+    classes compare per-class costs summed from per-coordinate tables, on
+    one thread; everything else (the pairwise robust linear rule) goes
+    through the classifier's batch decisions in grid chunks.
     """
     try:
         j = model.check_class(true_class)
@@ -322,8 +324,9 @@ def brute_force_attack_oracle(
     else:
         axes = [np.linspace(-eps, eps, grid_points_per_axis) for _ in range(d)]
 
-    separable = model.num_classes == 2 and isinstance(
-        classifier, (GlrtClassifier, MinDistanceClassifier, MinimaxLinearClassifier)
+    nearest = isinstance(classifier, (GlrtClassifier, MinDistanceClassifier))
+    separable = model.num_classes == 2 and (
+        nearest or isinstance(classifier, MinimaxLinearClassifier)
     )
     counts = np.zeros(tuple(len(a) for a in axes), dtype=np.int64)
     # identical per-trial noise to the sweep engine's, so grid estimates and
@@ -333,6 +336,8 @@ def brute_force_attack_oracle(
         noise = model.sigma * noise_block(seed, b, rows, d)
         if separable:
             counts += _separable_surface_counts(model, classifier, j, axes, noise)
+        elif nearest:
+            counts += _nearest_surface_counts(model, classifier, j, axes, noise)
         else:
             counts += _generic_surface_counts(model, classifier, j, axes, noise, threads)
     return ErrorSurface(
@@ -399,13 +404,59 @@ def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     return counts
 
 
+def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
+    """GLRT and minimum-distance errors from per-(class, coordinate) cost tables.
+
+    tables[k][i] holds the decision kernel's squared residual of coordinate
+    i under class k for every value on axis i and every noise row, built
+    with the kernel's elementwise steps (`classifiers._class_costs`). A
+    class's cost at a grid point adds its d entries in the order that
+    einsum("nd,nd->n") adds them here (t0, t0 + t1, (t0 + t2) + t1), so it
+    equals the kernel's cost bit for bit. Besides the tables, one
+    (M, last-axis points, rows) cost slab is live at a time.
+    """
+    eps = classifier.eps if isinstance(classifier, GlrtClassifier) else None
+    base = model.means[j] + noise
+    tables = []
+    for mu in model.means:
+        per_axis = []
+        for i, axis in enumerate(axes):
+            t = axis[:, None] + base[None, :, i]
+            t -= mu[i]
+            if eps is not None:
+                np.abs(t, out=t)
+                t -= eps
+                np.maximum(t, 0.0, out=t)
+            t *= t
+            per_axis.append(t)
+        tables.append(per_axis)
+
+    shape = tuple(len(a) for a in axes)
+    counts = np.zeros(shape, dtype=np.int64)
+    slab = np.empty((model.num_classes, shape[-1], noise.shape[0]))
+    for lead in np.ndindex(shape[:-1]):
+        for k, t in enumerate(tables):
+            if len(axes) == 1:
+                slab[k] = t[0]
+            elif len(axes) == 2:
+                np.add(t[0][lead[0]], t[1], out=slab[k])
+            else:
+                np.add(t[0][lead[0]], t[2], out=slab[k])
+                slab[k] += t[1][lead[1]]
+        # the kernel's lowest-index tie rule: an earlier class wins ties with
+        # class j, a later one must be strictly cheaper
+        wrong = (slab[:j] <= slab[j]).any(axis=0) | (slab[j + 1:] < slab[j]).any(axis=0)
+        counts[lead] = np.count_nonzero(wrong, axis=1)
+    return counts
+
+
 def _generic_surface_counts(model, classifier, j, axes, noise, threads) -> np.ndarray:
     grid = np.array(list(itertools.product(*axes)))
     trials, d = noise.shape
     base = model.means[j] + noise
 
-    # keep each broadcast tensor around 8M elements
-    chunk = max(1, int(8_000_000 / max(1, trials * d)))
+    # keep each span's observation tensor near 2^20 values
+    chunk = max(1, (1 << 20) // (trials * d))
     spans = [(s, min(s + chunk, len(grid))) for s in range(0, len(grid), chunk)]
 
     def run_span(span):

@@ -19,6 +19,7 @@ from .analysis import (
     METHOD_CLT_EXACT,
     METHOD_MONTE_CARLO,
     METHOD_Q_OF_SNR,
+    _clt_error_from_moments,
     clt_error,
     cost_difference_moments,
     error_from_snr,
@@ -230,10 +231,14 @@ def _cmd_predict(args) -> int:
             sink(_predict_row(kappa, ClassifierKind.MINIMAX_LINEAR,
                               error_from_snr(snr_mm), METHOD_Q_OF_SNR, args.seed))
             if 0 <= kappa <= args.eps:
-                exact = clt_error(model, args.eps, kappa)
-                lower = clt_error(model, args.eps, kappa, use_lower_bound=True)
+                # one moment pair per kappa serves the CLT and the q-of-snr rows;
+                # the levels in ascending order, as clt_error sums them
                 ma = cost_difference_moments(args.a * args.eps, args.eps, kappa, args.sigma)
                 mb = cost_difference_moments(args.b * args.eps, args.eps, kappa, args.sigma)
+                exact = _clt_error_from_moments(
+                    (mb, ma), (args.d - profile.num_strong, profile.num_strong), METHOD_CLT_EXACT
+                )
+                lower = clt_error(model, args.eps, kappa, use_lower_bound=True)
                 sink(_predict_row(kappa, ClassifierKind.GLRT, exact.value,
                                   exact.method, args.seed))
                 sink(_predict_row(kappa, ClassifierKind.GLRT, lower.value,

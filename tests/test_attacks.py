@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -274,7 +276,7 @@ class TestBruteForceOracle:
             labels = clf.decide_batch(m.means[0] + e + noise)
             assert surf.errors[i, j] == np.mean(labels != 0)
 
-    @pytest.mark.parametrize("path", ["separable", "generic"])
+    @pytest.mark.parametrize("path", ["separable", "nearest", "generic"])
     def test_multi_block_surface_matches_one_shot_recount(self, path, monkeypatch):
         # 9000 trials span two noise blocks; the oracle draws and counts them
         # one at a time, the recount concatenates the same draws and decides
@@ -284,7 +286,10 @@ class TestBruteForceOracle:
         else:
             m = ternary_2d(sigma_sq=0.4)
         eps, trials, seed = 0.6, 9000, 11
-        clf = GlrtClassifier(m, eps=eps)
+        if path == "generic":
+            clf = PairwiseRobustLinearClassifier(m, eps=eps)
+        else:
+            clf = GlrtClassifier(m, eps=eps)
         events = []
         for name in ("noise_block", f"_{path}_surface_counts"):
             real = getattr(robustht.attacks, name)
@@ -308,14 +313,63 @@ class TestBruteForceOracle:
         expect = np.zeros((5, 5))
         for i, j in np.ndindex(5, 5):
             x = m.means[0] + np.array([surf.axes[0][i], surf.axes[1][j]]) + noise
-            resid = np.maximum(0.0, np.abs(x[:, None, :] - m.means[None, :, :]) - eps)
-            labels = np.argmin((resid ** 2).sum(axis=2), axis=1)
-            expect[i, j] = np.count_nonzero(labels != 0) / trials
+            if path == "generic":
+                # class 0 is declared only when it strictly wins both of its tests
+                wins = np.ones(trials, dtype=bool)
+                for k in (1, 2):
+                    h = (m.means[0] - m.means[k]) / 2.0
+                    w = np.sign(h) * np.maximum(0.0, np.abs(h) - eps)
+                    wins &= x @ w - w @ (m.means[0] + m.means[k]) / 2.0 > 0
+                expect[i, j] = np.count_nonzero(~wins) / trials
+            else:
+                resid = np.maximum(0.0, np.abs(x[:, None, :] - m.means[None, :, :]) - eps)
+                labels = np.argmin((resid ** 2).sum(axis=2), axis=1)
+                expect[i, j] = np.count_nonzero(labels != 0) / trials
         np.testing.assert_array_equal(surf.errors, expect)
-        if path == "generic":
+        if path != "separable":
             threaded = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
                                                  trials=trials, seed=seed, threads=2)
             np.testing.assert_array_equal(threaded.errors, surf.errors)
+
+    @pytest.mark.parametrize("kind", ["glrt", "min-distance"])
+    @pytest.mark.parametrize("num_classes", [3, 4, 5])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nearest_path_equals_decide_batch_replay(self, d, num_classes, kind):
+        # the table path adds per-coordinate costs in einsum's order and applies
+        # the kernel's tie rule itself, so every cell must match a replay through
+        # decide_batch exactly; this fails if numpy changes einsum's order
+        lattice = np.array([[0, 0, 0], [1, 0, 1], [-1, 1, 0], [0, -1, -1], [1, 1, -1]], float)
+        means = lattice[:num_classes, :d].copy()
+        # the last class repeats class 1's mean one ulp off in its first
+        # coordinate: the two costs often round to one value, and which is
+        # lower otherwise depends on the order the coordinates are added in
+        means[-1] = means[1]
+        means[-1, 0] = np.nextafter(means[1, 0], 2.0)
+        if kind == "glrt":
+            # eps above the lattice spacing: many rows cost 0 under several classes
+            eps = 1.2
+            m = HypothesisModel(means=means, sigma=0.3)
+            clf = GlrtClassifier(m, eps=eps)
+        else:
+            eps = 0.5
+            m = HypothesisModel(means=means, sigma=0.6)
+            clf = MinDistanceClassifier(m)
+        axes = [np.linspace(-eps, eps, 5) for _ in range(d)]
+        noise = m.sigma * noise_block(3, 0, 600, d)
+        grid = np.array(list(itertools.product(*axes)))
+        ties = 0
+        for j in (0, num_classes // 2, num_classes - 1):
+            counts = robustht.attacks._nearest_surface_counts(m, clf, j, axes, noise)
+            x = (grid[:, None, :] + (m.means[j] + noise)[None, :, :]).reshape(-1, d)
+            labels = clf.decide_batch(x).reshape(len(grid), -1)
+            expect = np.count_nonzero(labels != j, axis=1).reshape(counts.shape)
+            np.testing.assert_array_equal(counts, expect)
+            resid = np.abs(x[:, None, :] - m.means[None, :, :])
+            if kind == "glrt":
+                resid = np.maximum(0.0, resid - eps)
+            costs = (resid ** 2).sum(axis=2)
+            ties += np.count_nonzero((costs == costs.min(axis=1)[:, None]).sum(axis=1) > 1)
+        assert ties > 0
 
     def test_dimension_guard(self):
         m = HypothesisModel(means=np.zeros((2, 4)) + np.arange(4), sigma=1.0)

@@ -78,6 +78,25 @@ class TestReproduce:
         r = run_cli("reproduce", "fig9")
         assert r.returncode == 2  # argparse exits with its own code
 
+    @pytest.mark.parametrize("figure", ["fig6", "fig7"])
+    def test_surface_peak_memory_is_bounded(self, tmp_path, figure):
+        # the grid oracle holds per-axis cost tables (GLRT) or spans of about
+        # 2^20 observation values (PRL), never a whole (grid x trials, d)
+        # tensor; ru_maxrss is in KB on Linux
+        probe = (
+            "import resource, sys\n"
+            "from robustht import cli\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "code = cli.main(['reproduce', sys.argv[1], '--seed', '7', '--out', sys.argv[2]])\n"
+            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        r = subprocess.run([sys.executable, "-c", probe, figure, str(tmp_path / "out.csv")],
+                           capture_output=True, text=True, timeout=600)
+        assert r.returncode == 0, r.stderr
+        code, grown_kb = map(int, r.stdout.split())
+        assert code == 0
+        assert grown_kb <= 48 * 1024
+
 
 class TestSimulate:
     def config(self, tmp_path):
