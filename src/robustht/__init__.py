@@ -54,6 +54,7 @@ from .engine import (
     TrialCounts,
     monte_carlo_error,
     run_experiment,
+    run_experiments,
 )
 from .model import (
     REJECT,
@@ -91,5 +92,5 @@ __all__ = [
     "METHOD_Q_OF_SNR",
     # engine
     "TrialCounts", "ConfigError", "ExperimentConfig", "ExperimentResult",
-    "monte_carlo_error", "run_experiment",
+    "monte_carlo_error", "run_experiment", "run_experiments",
 ]

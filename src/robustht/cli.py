@@ -37,6 +37,7 @@ from .engine import (
     format_row,
     model_from_dict,
     run_experiment,
+    run_experiments,
 )
 from .model import AttackMode, HypothesisModel, TwoLevelProfile
 
@@ -368,7 +369,7 @@ def _cmd_reproduce(args) -> int:
         return _EXIT_OK
     recipes = recipe if isinstance(recipe, list) else [recipe]
     _write_rows(args, CSV_HEADER, format_row, lambda sink: {
-        "configs": [run_experiment(c, args.threads, sink).metadata for c in recipes],
+        "configs": [r.metadata for r in run_experiments(recipes, args.threads, sink)],
         "seed": args.seed,
     })
     return _EXIT_OK

@@ -4,10 +4,11 @@ The engine turns (model, classifier, attack policy) into error frequencies
 with reproducibility guarantees: noise comes from counter-based substreams
 keyed by (seed, block), errors are integer counts per block, and merging
 counts is order-independent, so results are byte-identical for any
-`threads` setting. Common random numbers are shared across every cell
-that shares a model (a whole kappa or eps_over_sigma_sq sweep, or one
-dimension), which turns the paper-style ordering comparisons into paired
-tests.
+`threads` setting. Common random numbers are shared by every cell of one
+run that has the same seed, trials and dimension (a whole kappa or
+eps_over_sigma_sq sweep, one dimension of a dimension sweep), across the
+configs of a multi-config run too, which turns the paper-style ordering
+comparisons into paired tests and draws each noise block once per run.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "model_from_dict",
     "monte_carlo_error",
     "run_experiment",
+    "run_experiments",
 ]
 
 CSV_HEADER = (
@@ -56,6 +58,10 @@ CSV_HEADER = (
 )
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
+
+# float64 values per observation tile of `_count_block` (512 KB), the size of
+# the decision kernel's workspace
+_TILE_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -101,39 +107,59 @@ def _attack_plan(model, classifier, spec: AttackSpec, true_class: int):
 
 
 def _count_block(model, classifier, plan, true_class, z_block, sigma) -> TrialCounts:
-    """Tally errors and rejects on one block of standard normal draws."""
+    """Tally errors and rejects on one block of standard normal draws.
+
+    The observations mu_j + sigma * z (+ e) are built and decided one row
+    tile of about _TILE_ELEMENTS values at a time, in one reused buffer, so
+    a task holds a cache-sized tile beside the block. Each row is built and
+    decided on its own, so tiling does not change a single label.
+    """
     j = true_class
-    # mu_j + sigma * z, built in place so that one (rows, d) array is live per task
-    base = sigma * z_block
-    base += model.means[j]
-    if plan[0] == "fixed":
-        base += plan[1]
-        labels = classifier.decide_batch(base)
-    else:
-        labels, _ = noise_aware_labels(model, classifier, base, j, plan[1])
-    return TrialCounts(int((labels != j).sum()), int((labels == REJECT).sum()), z_block.shape[0])
+    rows, dim = z_block.shape
+    step = max(1, _TILE_ELEMENTS // dim)
+    tile = np.empty((min(step, rows), dim))
+    errors = rejects = 0
+    for lo in range(0, rows, step):
+        z = z_block[lo:lo + step]
+        base = np.multiply(sigma, z, out=tile[:z.shape[0]])
+        base += model.means[j]
+        if plan[0] == "fixed":
+            base += plan[1]
+            labels = classifier.decide_batch(base)
+        else:
+            labels, _ = noise_aware_labels(model, classifier, base, j, plan[1])
+        errors += int(np.count_nonzero(labels != j))
+        rejects += int(np.count_nonzero(labels == REJECT))
+    return TrialCounts(errors, rejects, rows)
 
 
-def _monte_carlo_cells(model, cells, true_class, trials, seed, threads) -> list[tuple]:
-    """(error, ci, reject_rate) of each (classifier, AttackSpec, sigma) cell.
+def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
+    """(error, ci, reject_rate) of each (model, classifier, AttackSpec, sigma) cell.
 
     The one place where Monte Carlo noise is drawn: each block is drawn
     once and every cell and true class is tallied on it, so all cells
-    share common random numbers. true_class picks a class-conditional
-    error; None weights the class-conditional errors with the priors.
+    share common random numbers. The cells' models share one dimension
+    and may differ in anything else. true_class picks a class-conditional
+    error; None weights each model's class-conditional errors with its
+    priors.
     """
+    [dim] = {model.dim for model, _, _, _ in cells}
     blocks = list(block_plan(trials))
-    classes = [true_class] if true_class is not None else range(model.num_classes)
+
+    def classes(model):
+        return [true_class] if true_class is not None else range(model.num_classes)
+
     tasks = [
-        (classifier, _attack_plan(model, classifier, spec, j), j, sigma)
-        for classifier, spec, sigma in cells
-        for j in classes
+        (model, classifier, _attack_plan(model, classifier, spec, j), j, sigma)
+        for model, classifier, spec, sigma in cells
+        for j in classes(model)
     ]
 
     def run_block(block_spec):
         b, _, rows = block_spec
-        z = noise_block(seed, b, rows, model.dim)
-        return [_count_block(model, clf, plan, j, z, sigma) for clf, plan, j, sigma in tasks]
+        z = noise_block(seed, b, rows, dim)
+        return [_count_block(model, clf, plan, j, z, sigma)
+                for model, clf, plan, j, sigma in tasks]
 
     totals = [TrialCounts() for _ in tasks]
     if threads > 1:
@@ -147,9 +173,9 @@ def _monte_carlo_cells(model, cells, true_class, trials, seed, threads) -> list[
 
     out = []
     per_cell = iter(totals)
-    for _ in cells:
+    for model, _, _, _ in cells:
         err = rej = var = 0.0
-        for j in classes:
+        for j in classes(model):
             counts = next(per_cell)
             w = 1.0 if true_class is not None else float(model.priors[j])
             err += w * counts.error_rate
@@ -177,7 +203,7 @@ def monte_carlo_error(
     if true_class is not None:
         true_class = model.check_class(true_class)
     [(value, ci, _)] = _monte_carlo_cells(
-        model, [(classifier, attack, model.sigma)], true_class, trials, seed, threads
+        [(model, classifier, attack, model.sigma)], true_class, trials, seed, threads
     )
     return ErrorEstimate(value=value, method=METHOD_MONTE_CARLO, ci_halfwidth=ci, trials=trials)
 
@@ -370,39 +396,89 @@ def _make_row(config, sweep_value, kind, mode, kappa, **fields) -> dict:
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1, row_sink=None) -> ExperimentResult:
-    """Execute a sweep. Deterministic for a given (config, seed).
+    """Execute one sweep: the one-config case of `run_experiments`.
 
-    row_sink, if given, receives each row as soon as it is final, so
-    partial results of long sweeps survive interruption. Cells that share
-    a model are sampled together: one group for the kappa and
-    eps_over_sigma_sq axes (common random numbers across the sweep), one
-    group per dimension, whose rows are final before the next dimension
-    is calibrated.
+    Deterministic for a given (config, seed). row_sink, if given, receives
+    each row as soon as it is final, so partial results of long sweeps
+    survive interruption. Cells that share a noise draw are sampled
+    together: one group for the kappa and eps_over_sigma_sq axes (common
+    random numbers across the sweep), one group per dimension, whose rows
+    are final before the next dimension is calibrated.
     """
-    config.validate()
-    rows = []
-    for model, cells in _cell_groups(config):
+    [result] = run_experiments([config], threads, row_sink)
+    return result
+
+
+def run_experiments(configs, threads: int = 1, row_sink=None) -> list[ExperimentResult]:
+    """Execute several sweeps as one run, one result per config.
+
+    Every config is validated before any noise is drawn. The cell groups
+    of all configs that share (seed, trials, dimension, true_class) are
+    tallied together on one draw of each noise block, so common random
+    numbers span configs and no block is drawn twice. Rows come out config
+    by config, each config's in its own order: row_sink receives the rows
+    of the config being run as each of its groups finishes, and holds rows
+    of a later config, tallied early, until every config before it is done.
+    """
+    configs = list(configs)
+    for config in configs:
+        config.validate()
+    groups = [_cell_groups(config) for config in configs]
+    # noise key -> the (config, group) pairs that draw it, in run order
+    sharing: dict[tuple, list] = {}
+    for i, config in enumerate(configs):
+        for g, (dim, _) in enumerate(groups[i]):
+            sharing.setdefault(_noise_key(config, dim), []).append((i, g))
+
+    held: dict[tuple, list] = {}  # (config, group) -> rows tallied, not yet emitted
+    results = []
+    for i, config in enumerate(configs):
+        rows = []
+        for g, (dim, _) in enumerate(groups[i]):
+            if (i, g) not in held:
+                key = _noise_key(config, dim)
+                members = sharing.pop(key)
+                held.update(zip(members, _tally_groups(configs, groups, members, key, threads)))
+            for row in held.pop((i, g)):
+                rows.append(row)
+                if row_sink is not None:
+                    row_sink(row)
+        metadata = {
+            "config": config.to_dict(),
+            "config_hash": config.config_hash(),
+            "seed": config.seed,
+            "trials": config.trials,
+        }
+        results.append(ExperimentResult(rows=rows, metadata=metadata))
+    return results
+
+
+def _noise_key(config, dim) -> tuple:
+    """What decides a cell group's noise draws; groups with equal keys share them."""
+    return (config.seed, config.trials, dim, config.true_class)
+
+
+def _tally_groups(configs, groups, members, key, threads) -> list[list[dict]]:
+    """Rows of each (config, group) member, all tallied on the draws of one noise key."""
+    built = []
+    cells = []
+    for i, g in members:
+        config = configs[i]
+        dim, group = groups[i][g]
+        model = _group_model(config, dim)
         classifiers = {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
-        estimates = _monte_carlo_cells(
-            model,
-            [
-                (classifiers[kind], _spec_for(config.eps, mode, kappa),
-                 _sigma_for(config, model, value))
-                for value, kind, mode, kappa in cells
-            ],
-            config.true_class, config.trials, config.seed, threads,
-        )
-        for row in _group_rows(config, model, cells, estimates):
-            rows.append(row)
-            if row_sink is not None:
-                row_sink(row)
-    metadata = {
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "trials": config.trials,
-    }
-    return ExperimentResult(rows=rows, metadata=metadata)
+        cells += [
+            (model, classifiers[kind], _spec_for(config.eps, mode, kappa),
+             _sigma_for(config, model, value))
+            for value, kind, mode, kappa in group
+        ]
+        built.append((config, model, group))
+    seed, trials, _, true_class = key
+    estimates = iter(_monte_carlo_cells(cells, true_class, trials, seed, threads))
+    return [
+        list(_group_rows(config, model, group, itertools.islice(estimates, len(group))))
+        for config, model, group in built
+    ]
 
 
 def _cells_for(config) -> list[tuple]:
@@ -422,24 +498,30 @@ def _cells_for(config) -> list[tuple]:
     return list(dict.fromkeys(cells))
 
 
-def _cell_groups(config):
-    """(model, cells) pairs; the cells of one pair share its noise draws.
+def _cell_groups(config) -> list[tuple]:
+    """(dimension, cells) pairs; the cells of one pair share its noise draws.
 
-    The dimension axis calibrates sigma per dimension, lazily, so that a
-    dimension's rows are emitted before the next one is calibrated.
+    One pair for the kappa and eps_over_sigma_sq axes, one per dimension
+    on the dimension axis. No sigma is calibrated here: `_group_model` does
+    that when the group is tallied.
     """
     cells = _cells_for(config)
     if config.sweep_axis != SWEEP_DIMENSION:
-        yield config.resolved_model(), cells
-        return
+        return [(config.resolved_model().dim, cells)]
+    return [(d, list(group)) for d, group in itertools.groupby(cells, key=lambda cell: cell[0])]
+
+
+def _group_model(config, dim) -> HypothesisModel:
+    """The model of one cell group; the dimension axis calibrates sigma per dimension."""
+    if config.sweep_axis != SWEEP_DIMENSION:
+        return config.resolved_model()
     [kappa] = config.resolved_kappas()
-    for d, group in itertools.groupby(cells, key=lambda cell: cell[0]):
-        profile = config.profile.with_dimension(d)
-        sigma = sigma_for_target_error(
-            profile, kappa, config.target_error,
-            method=config.calibration_method, seed=config.seed,
-        )
-        yield profile.to_model(sigma), list(group)
+    profile = config.profile.with_dimension(dim)
+    sigma = sigma_for_target_error(
+        profile, kappa, config.target_error,
+        method=config.calibration_method, seed=config.seed,
+    )
+    return profile.to_model(sigma)
 
 
 def _sigma_for(config, model, value) -> float:

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import robustht.engine
+from robustht import cli
 from robustht.analysis import METHOD_CLT_EXACT, METHOD_MONTE_CARLO
+from robustht.attacks import noise_aware_labels
 from robustht.classifiers import (
     ClassifierKind,
     GlrtClassifier,
     MinDistanceClassifier,
+    build_classifier,
 )
 from robustht.engine import (
     CSV_HEADER,
@@ -18,8 +21,9 @@ from robustht.engine import (
     format_row,
     monte_carlo_error,
     run_experiment,
+    run_experiments,
 )
-from robustht.model import AttackMode, AttackSpec, HypothesisModel, TwoLevelProfile
+from robustht.model import REJECT, AttackMode, AttackSpec, HypothesisModel, TwoLevelProfile
 from robustht.numerics import q_function
 from robustht.rng import BLOCK_SIZE, block_plan, noise_block
 
@@ -182,6 +186,48 @@ class TestSingleDraw:
         run_experiment(config)
         assert [(b, dim) for _, b, _, dim in draws] == [(0, 20), (0, 40)]
 
+    def test_reproduce_fig5_draws_each_block_once(self, draws, tmp_path):
+        # the kappa = 1 and kappa = 0.8 studies share seed, trials and dimensions
+        code = cli.main(["reproduce", "fig5", "--trials", "1000",
+                         "--out", str(tmp_path / "fig5.csv")])
+        assert code == 0
+        assert len(draws) == len(set(draws)) == 4
+        assert sorted(dim for _, _, _, dim in draws) == [50, 100, 200, 400]
+
+
+class TestCountBlockTiles:
+    """Tiled observation builds and decisions tally exactly as one whole-block replay."""
+
+    @staticmethod
+    def one_shot(model, classifier, plan, j, z, sigma) -> TrialCounts:
+        base = sigma * z + model.means[j]
+        if plan[0] == "fixed":
+            labels = classifier.decide_batch(base + plan[1])
+        else:
+            labels, _ = noise_aware_labels(model, classifier, base, j, plan[1])
+        return TrialCounts(int((labels != j).sum()), int((labels == REJECT).sum()), z.shape[0])
+
+    @pytest.mark.parametrize("tile", [1 << 16, 1000], ids=["default-tile", "small-tile"])
+    @pytest.mark.parametrize("kind", [ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR])
+    @pytest.mark.parametrize("dim", [1, 2, 20, 400])
+    def test_bit_exact_against_one_shot(self, dim, kind, tile, monkeypatch):
+        monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", tile)
+        gen = np.random.default_rng(dim)
+        model = HypothesisModel(means=gen.normal(size=(3, dim)) * (2.0 / math.sqrt(dim)),
+                                sigma=1.0)
+        classifier = build_classifier(kind, model, 0.2)
+        rows = BLOCK_SIZE - 1
+        assert rows % max(1, tile // dim) != 0
+        z = noise_block(11, 0, rows, dim)
+        sigma = 0.9
+        for mode in (AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL):
+            spec = AttackSpec(budget=0.2, strength=0.2, mode=mode)
+            for j in range(model.num_classes):
+                plan = robustht.engine._attack_plan(model, classifier, spec, j)
+                tiled = robustht.engine._count_block(model, classifier, plan, j, z, sigma)
+                assert tiled == self.one_shot(model, classifier, plan, j, z, sigma)
+                assert tiled.errors > 0
+
 
 class TestTrialCounts:
     def test_merge_and_rates(self):
@@ -305,6 +351,59 @@ class TestRunExperiment:
         result = run_experiment(dimension_sweep_config(trials=2000), row_sink=seen.append)
         assert [r["sweep_value"] for r in seen] == [20, 20, 40, 40]
         assert seen == result.rows
+
+    def test_configs_of_one_run_keep_their_rows_in_order(self, monkeypatch):
+        # a config's rows stream as each of its groups finishes; the second
+        # config's rows, tallied on the same draws, wait for the first config
+        configs = [dimension_sweep_config(trials=2000, kappas=[k]) for k in (1.0, 0.8)]
+        events = []
+        real = robustht.engine.noise_block
+
+        def counted(*args):
+            events.append(("draw", args[3]))
+            return real(*args)
+
+        monkeypatch.setattr(robustht.engine, "noise_block", counted)
+        run_experiments(configs, row_sink=lambda row: events.append(
+            ("row", row["kappa"], row["sweep_value"])))
+        assert events == [
+            ("draw", 20), ("row", 1.0, 20), ("row", 1.0, 20),
+            ("draw", 40), ("row", 1.0, 40), ("row", 1.0, 40),
+            ("row", 0.8, 20), ("row", 0.8, 20), ("row", 0.8, 40), ("row", 0.8, 40),
+        ]
+        seen = []
+        results = run_experiments(configs, row_sink=seen.append)
+        assert seen == results[0].rows + results[1].rows
+
+    def test_shared_draws_give_each_config_its_own_result(self):
+        configs = [
+            dimension_sweep_config(trials=2000, kappas=[1.0], sweep_values=[40, 20]),
+            kappa_sweep_config(trials=2000, seed=2, sweep_values=[0.5]),
+            dimension_sweep_config(trials=2000, kappas=[0.8]),
+            dimension_sweep_config(trials=2000, kappas=[0.8], seed=3),
+        ]
+        together = run_experiments(configs)
+        assert [r.rows for r in together] == [run_experiment(c).rows for c in configs]
+        assert [r.metadata for r in together] == [run_experiment(c).metadata for c in configs]
+
+    def test_invalid_later_config_fails_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(robustht.engine, "noise_block",
+                            lambda *args: draws.append(args))
+        bad = dimension_sweep_config(kappas=[0.5, 1.0])
+        with pytest.raises(ConfigError, match="kappas"):
+            run_experiments([dimension_sweep_config(), bad])
+        assert draws == []
+
+    def test_reproduce_fig5_bytes_do_not_depend_on_threads(self, tmp_path):
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"fig5-t{threads}.csv"
+            assert cli.main(["reproduce", "fig5", "--trials", "3000", "--seed", "4",
+                             "--threads", threads, "--out", str(out)]) == 0
+            sidecar = out.with_suffix(".csv.meta.json")
+            outputs.append((out.read_bytes(), sidecar.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("axis", ["kappa", "eps_over_sigma_sq", "dimension"])
     def test_one_row_rule_on_every_axis(self, axis):
