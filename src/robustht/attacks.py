@@ -96,7 +96,8 @@ def binary_sign_attack(
         raise ValueError(f"need two distinct classes, got j = k = {j}")
     if strength < 0:
         raise ValueError(f"attack strength must be >= 0, got {strength}")
-    e = -strength * np.sign(model.means[j] - model.means[k])
+    # + 0.0 turns the -0.0 of a zero strength into +0.0: equal attacks, equal bytes
+    e = -strength * np.sign(model.means[j] - model.means[k]) + 0.0
     return _assert_budget(e, strength)
 
 
@@ -194,34 +195,33 @@ def heuristic_agnostic_attack(
 
 def noise_aware_labels(
     model: HypothesisModel,
-    classifier,
-    base: np.ndarray,
+    decide,
     true_class: int,
     strength: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels under the optimal noise-aware attack, one row per noise draw.
 
-    base holds the unattacked observations mu_true + N, shape (n, d).
-    Knowing the noise realization, the adversary replays each of the M-1
-    binary sign attacks through the classifier and takes the first (lowest
-    candidate index) that makes the decision leave the true class; REJECT
-    counts as leaving. Rows where none works fall back to the zero attack.
+    decide(e) returns the classifier's labels of the unattacked
+    observations mu_true + N (one row per draw) shifted by the attack e,
+    each row decided on its own. Knowing the noise realization, the
+    adversary replays each of the M-1 binary sign attacks through decide
+    and takes the first (lowest candidate index) that makes the decision
+    leave the true class; REJECT counts as leaving. Rows where none works
+    keep the zero attack's labels. A decide that memoises its labels by
+    attack lets callers share these decisions with fixed-attack cells.
     Returns (labels, targets): the decision under the chosen attack, and
     the competing class it steers toward, or -1 for the zero attack.
     """
     j = model.check_class(true_class)
-    labels = np.full(base.shape[0], j, dtype=np.int64)
-    targets = np.full(base.shape[0], -1, dtype=np.int64)
+    labels = decide(np.zeros(model.dim)).copy()
+    targets = np.full(labels.shape[0], -1, dtype=np.int64)
     for k in range(model.num_classes):
         if k == j:
             continue
-        flipped = classifier.decide_batch(base + binary_sign_attack(model, j, k, strength))
+        flipped = decide(binary_sign_attack(model, j, k, strength))
         newly = (flipped != j) & (targets < 0)
         labels[newly] = flipped[newly]
         targets[newly] = k
-    undecided = targets < 0
-    if undecided.any():
-        labels[undecided] = classifier.decide_batch(base[undecided])
     return labels, targets
 
 
@@ -242,7 +242,8 @@ def noise_aware_attack(
     if noise.shape != (model.dim,):
         raise ValueError(f"noise must have shape ({model.dim},), got {noise.shape}")
     j = model.check_class(true_class)
-    _, targets = noise_aware_labels(model, classifier, model.means[j] + noise[None, :], j, strength)
+    base = model.means[j] + noise[None, :]
+    _, targets = noise_aware_labels(model, lambda e: classifier.decide_batch(base + e), j, strength)
     k = int(targets[0])
     if k < 0:
         return AttackResult(vector=np.zeros(model.dim), feasible=False, target_class=None)

@@ -9,6 +9,10 @@ run that has the same seed, trials and dimension (a whole kappa or
 eps_over_sigma_sq sweep, one dimension of a dimension sweep), across the
 configs of a multi-config run too, which turns the paper-style ordering
 comparisons into paired tests and draws each noise block once per run.
+Cells that see the same observations (same model, classifier, true class
+and sigma) also share decisions: each distinct attack on a row tile is
+decided once, and noise-aware cells replay the sign attacks through that
+memo, so they reuse the agnostic and zero-attack labels.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ CSV_HEADER = (
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
-# float64 values per observation tile of `_count_block` (512 KB), the size of
+# float64 values per observation tile of `_tally_block` (512 KB), the size of
 # the decision kernel's workspace
 _TILE_ELEMENTS = 1 << 16
 
@@ -106,31 +110,72 @@ def _attack_plan(model, classifier, spec: AttackSpec, true_class: int):
     raise ValueError(f"unknown attack mode: {spec.mode}")
 
 
-def _count_block(model, classifier, plan, true_class, z_block, sigma) -> TrialCounts:
-    """Tally errors and rejects on one block of standard normal draws.
+def _decision_groups(tasks) -> list[list[int]]:
+    """Indices of the tasks that decide the same observations mu_j + sigma * z.
 
-    The observations mu_j + sigma * z (+ e) are built and decided one row
-    tile of about _TILE_ELEMENTS values at a time, in one reused buffer, so
-    a task holds a cache-sized tile beside the block. Each row is built and
-    decided on its own, so tiling does not change a single label.
+    Only tasks with the same model and classifier objects, true class j
+    and sigma see the same observations, so only they share decisions.
     """
-    j = true_class
+    groups: dict[tuple, list[int]] = {}
+    for t, (model, classifier, _, j, sigma) in enumerate(tasks):
+        groups.setdefault((id(model), id(classifier), j, sigma), []).append(t)
+    return list(groups.values())
+
+
+def _tile_decider(classifier, base, out):
+    """decide(e): the labels of base + e, each distinct attack decided once.
+
+    The memo is keyed by the attack's bytes and lives only as long as the
+    decider, that is one tile of one task group. base + e is built in out,
+    which may be base itself when decide is called for one attack only.
+    """
+    memo = {}
+
+    def decide(e):
+        key = e.tobytes()
+        if key not in memo:
+            memo[key] = classifier.decide_batch(np.add(base, e, out=out[:base.shape[0]]))
+        return memo[key]
+
+    return decide
+
+
+def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
+    """Tally errors and rejects of every task on one block of standard normal draws.
+
+    For each group of tasks that decide the same observations, mu_j +
+    sigma * z is built one row tile of about _TILE_ELEMENTS values at a
+    time, in one reused buffer, and each distinct attack on that tile is
+    decided once: a fixed cell reads its vector's labels, and an aware cell
+    replays the sign attacks through the same memo, so it reuses the
+    agnostic and zero-attack decisions. Each row is built as
+    (sigma * z + mu_j) + e and decided on its own, so neither tiling nor
+    sharing changes a single label.
+    """
     rows, dim = z_block.shape
     step = max(1, _TILE_ELEMENTS // dim)
     tile = np.empty((min(step, rows), dim))
-    errors = rejects = 0
-    for lo in range(0, rows, step):
-        z = z_block[lo:lo + step]
-        base = np.multiply(sigma, z, out=tile[:z.shape[0]])
-        base += model.means[j]
-        if plan[0] == "fixed":
-            base += plan[1]
-            labels = classifier.decide_batch(base)
-        else:
-            labels, _ = noise_aware_labels(model, classifier, base, j, plan[1])
-        errors += int(np.count_nonzero(labels != j))
-        rejects += int(np.count_nonzero(labels == REJECT))
-    return TrialCounts(errors, rejects, rows)
+    attacked = np.empty_like(tile)
+    counts = [TrialCounts(0, 0, rows) for _ in tasks]
+    for members in groups:
+        model, classifier, plan, j, sigma = tasks[members[0]]
+        # a lone fixed attack is added in place, which keeps one tile in cache
+        # (a dimension sweep's groups); a shared memo needs base kept intact
+        out = tile if len(members) == 1 and plan[0] == "fixed" else attacked
+        for lo in range(0, rows, step):
+            z = z_block[lo:lo + step]
+            base = np.multiply(sigma, z, out=tile[:z.shape[0]])
+            base += model.means[j]
+            decide = _tile_decider(classifier, base, out)
+            for t in members:
+                mode, arg = tasks[t][2]
+                if mode == "fixed":
+                    labels = decide(arg)
+                else:
+                    labels, _ = noise_aware_labels(model, decide, j, arg)
+                counts[t].errors += int(np.count_nonzero(labels != j))
+                counts[t].rejects += int(np.count_nonzero(labels == REJECT))
+    return counts
 
 
 def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
@@ -154,12 +199,11 @@ def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
         for model, classifier, spec, sigma in cells
         for j in classes(model)
     ]
+    groups = _decision_groups(tasks)
 
     def run_block(block_spec):
         b, _, rows = block_spec
-        z = noise_block(seed, b, rows, dim)
-        return [_count_block(model, clf, plan, j, z, sigma)
-                for model, clf, plan, j, sigma in tasks]
+        return _tally_block(tasks, groups, noise_block(seed, b, rows, dim))
 
     totals = [TrialCounts() for _ in tasks]
     if threads > 1:

@@ -19,6 +19,7 @@ from robustht.classifiers import (
     MinDistanceClassifier,
     PairwiseRobustLinearClassifier,
 )
+from robustht.configs import ternary_20d_model
 from robustht.engine import monte_carlo_error
 from robustht.model import AttackMode, AttackSpec, HypothesisModel
 from robustht.rng import block_plan, noise_block
@@ -41,6 +42,14 @@ class TestBinarySignAttack:
     def test_zero_strength(self):
         m = HypothesisModel(means=np.array([[1.0, -1.0], [0.0, 0.0]]), sigma=1.0)
         np.testing.assert_array_equal(binary_sign_attack(m, 0, 1, 0.0), np.zeros(2))
+
+    def test_zero_strength_has_no_negative_zero(self):
+        # equal attacks must have equal bytes, so that decisions can be keyed by them
+        m = ternary_20d_model()
+        for j, k in itertools.permutations(range(m.num_classes), 2):
+            e = binary_sign_attack(m, j, k, 0.0)
+            assert not np.signbit(e).any(), (j, k)
+            assert e.tobytes() == np.zeros(m.dim).tobytes()
 
     def test_symmetric_means_other_hypothesis(self):
         mu = np.array([2.0, -3.0, 0.0])

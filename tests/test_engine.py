@@ -1,3 +1,6 @@
+import collections
+import functools
+import hashlib
 import math
 
 import numpy as np
@@ -6,13 +9,15 @@ import pytest
 import robustht.engine
 from robustht import cli
 from robustht.analysis import METHOD_CLT_EXACT, METHOD_MONTE_CARLO
-from robustht.attacks import noise_aware_labels
+from robustht.attacks import binary_sign_attack
 from robustht.classifiers import (
     ClassifierKind,
     GlrtClassifier,
     MinDistanceClassifier,
+    PairwiseRobustLinearClassifier,
     build_classifier,
 )
+from robustht.configs import ternary_2d_model, ternary_20d_model
 from robustht.engine import (
     CSV_HEADER,
     ConfigError,
@@ -196,37 +201,160 @@ class TestSingleDraw:
 
 
 class TestCountBlockTiles:
-    """Tiled observation builds and decisions tally exactly as one whole-block replay."""
+    """Tiled, shared decisions tally exactly as a one-shot replay of each cell."""
+
+    ROWS = BLOCK_SIZE - 1
+    SIGMA = 0.9
 
     @staticmethod
-    def one_shot(model, classifier, plan, j, z, sigma) -> TrialCounts:
+    def one_shot(model, classifier, spec, j, z, sigma) -> TrialCounts:
+        """One cell's counts from whole-block decide_batch calls, with no memo."""
         base = sigma * z + model.means[j]
-        if plan[0] == "fixed":
-            labels = classifier.decide_batch(base + plan[1])
+        if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
+            labels = classifier.decide_batch(base)
+            left = np.zeros(z.shape[0], dtype=bool)
+            for k in range(model.num_classes):
+                if k != j:
+                    flipped = classifier.decide_batch(
+                        base + binary_sign_attack(model, j, k, spec.strength))
+                    newly = (flipped != j) & ~left
+                    labels[newly] = flipped[newly]
+                    left |= newly
         else:
-            labels, _ = noise_aware_labels(model, classifier, base, j, plan[1])
+            _, e = robustht.engine._attack_plan(model, classifier, spec, j)
+            labels = classifier.decide_batch(base + e)
         return TrialCounts(int((labels != j).sum()), int((labels == REJECT).sum()), z.shape[0])
 
-    @pytest.mark.parametrize("tile", [1 << 16, 1000], ids=["default-tile", "small-tile"])
-    @pytest.mark.parametrize("kind", [ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR])
-    @pytest.mark.parametrize("dim", [1, 2, 20, 400])
-    def test_bit_exact_against_one_shot(self, dim, kind, tile, monkeypatch):
-        monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", tile)
+    @classmethod
+    @functools.cache
+    def case(cls, dim, kind):
+        """Cells at kappa 0, 0.1 and 0.2 (agnostic, aware) and no attack, with the
+        one-shot counts of each (true class, cell), shared by both tile sizes."""
         gen = np.random.default_rng(dim)
         model = HypothesisModel(means=gen.normal(size=(3, dim)) * (2.0 / math.sqrt(dim)),
                                 sigma=1.0)
         classifier = build_classifier(kind, model, 0.2)
-        rows = BLOCK_SIZE - 1
-        assert rows % max(1, tile // dim) != 0
-        z = noise_block(11, 0, rows, dim)
-        sigma = 0.9
-        for mode in (AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL):
-            spec = AttackSpec(budget=0.2, strength=0.2, mode=mode)
-            for j in range(model.num_classes):
-                plan = robustht.engine._attack_plan(model, classifier, spec, j)
-                tiled = robustht.engine._count_block(model, classifier, plan, j, z, sigma)
-                assert tiled == self.one_shot(model, classifier, plan, j, z, sigma)
-                assert tiled.errors > 0
+        specs = [AttackSpec(budget=0.2, strength=kappa, mode=mode)
+                 for mode in (AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL)
+                 for kappa in (0.0, 0.1, 0.2)] + [AttackSpec.none()]
+        z = noise_block(11, 0, cls.ROWS, dim)
+        expected = [[cls.one_shot(model, classifier, spec, j, z, cls.SIGMA) for spec in specs]
+                    for j in range(model.num_classes)]
+        return [(model, classifier, spec, cls.SIGMA) for spec in specs], expected
+
+    @pytest.mark.parametrize("tile", [1 << 16, 1000], ids=["default-tile", "small-tile"])
+    @pytest.mark.parametrize("kind", [ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR,
+                                      ClassifierKind.MIN_DISTANCE])
+    @pytest.mark.parametrize("dim", [1, 2, 20, 400])
+    def test_bit_exact_against_one_shot(self, dim, kind, tile, monkeypatch):
+        monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", tile)
+        assert self.ROWS % max(1, tile // dim) != 0
+        # every cell of one true class shares the tile memo
+        cells, expected = self.case(dim, kind)
+        for j, counts in enumerate(expected):
+            tallied = robustht.engine._monte_carlo_cells(cells, j, self.ROWS, 11, 1)
+            for cell, (error, _, reject), want in zip(cells, tallied, counts):
+                assert (error, reject) == (want.error_rate, want.reject_rate), (j, cell[2])
+                assert want.errors > 0
+            # a lone fixed cell adds its attack in place
+            agnostic = cells[2]
+            assert agnostic[2].strength == 0.2
+            assert robustht.engine._monte_carlo_cells([agnostic], j, self.ROWS, 11, 1) == [
+                tallied[2]]
+
+
+class TestSharedDecisions:
+    """Cells that see the same observations decide each of them once, and no others share."""
+
+    @pytest.fixture
+    def decided(self, monkeypatch):
+        """(kind, shape, input digest) -> times decided, and rows decided per kind."""
+        tiles = collections.Counter()
+        rows = collections.Counter()
+        for cls in (GlrtClassifier, MinDistanceClassifier, PairwiseRobustLinearClassifier):
+            def recorded(self, x, real=cls.decide_batch):
+                tiles[(self.kind, x.shape, hashlib.sha256(x.tobytes()).digest())] += 1
+                rows[self.kind] += x.shape[0]
+                return real(self, x)
+
+            monkeypatch.setattr(cls, "decide_batch", recorded)
+        return tiles, rows
+
+    def test_fig8_decides_each_distinct_observation_once(self, decided, tmp_path):
+        # per class j: the zero attack and 2 sign attacks at each of the 10 kappas > 0
+        code = cli.main(["reproduce", "fig8", "--trials", "1000",
+                         "--out", str(tmp_path / "fig8.csv")])
+        assert code == 0
+        tiles, rows = decided
+        assert rows == {kind: 3 * 21 * 1000 for kind in (
+            ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR,
+            ClassifierKind.MIN_DISTANCE)}
+        assert max(tiles.values()) == 1
+
+    @staticmethod
+    def cell_by_cell(config, model, sigma):
+        """(error, ci) of each cell of config in row order, from its own monte_carlo_error run."""
+        cell_model = HypothesisModel(means=model.means, sigma=sigma, priors=model.priors)
+        out = []
+        for kind in config.classifiers:
+            classifier = build_classifier(kind, model, config.eps)
+            for mode in config.attack_modes:
+                for kappa in config.resolved_kappas():
+                    spec = (AttackSpec.none() if mode is AttackMode.NONE
+                            else AttackSpec(budget=config.eps, strength=kappa, mode=mode))
+                    est = monte_carlo_error(cell_model, classifier, spec, None,
+                                            config.trials, config.seed)
+                    out.append((est.value, est.ci_halfwidth))
+        return out
+
+    def test_sigma_sweep_shares_nothing_across_sigma(self):
+        config = ExperimentConfig(
+            model=ternary_2d_model(), eps=1.0,
+            classifiers=[ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR],
+            attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL],
+            sweep_axis="eps_over_sigma_sq", sweep_values=[0.5, 2.0, 8.0],
+            kappas=[0.5, 1.0], trials=5000, seed=3,
+        )
+        model = config.resolved_model()
+        expected = []
+        for value in config.sweep_values:
+            expected += self.cell_by_cell(config, model, config.eps / math.sqrt(value))
+        rows = run_experiment(config).rows
+        assert [(row["error"], row["ci"]) for row in rows] == expected
+
+    def test_configs_with_other_models_share_no_decisions(self):
+        # same dimension, sigma, seed and classifier kinds: one noise draw, two models
+        first = ternary_2d_model()
+        second = HypothesisModel(means=first.means * 0.8, sigma=first.sigma)
+        configs = [
+            ExperimentConfig(
+                model=model, eps=1.0,
+                classifiers=[ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR],
+                attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC,
+                              AttackMode.NOISE_AWARE_OPTIMAL, AttackMode.NONE],
+                sweep_axis="kappa", sweep_values=[1.0], trials=5000, seed=4,
+            )
+            for model in (first, second)
+        ]
+        for config, result in zip(configs, run_experiments(configs)):
+            expected = self.cell_by_cell(config, config.model, config.model.sigma)
+            assert [(row["error"], row["ci"]) for row in result.rows] == expected
+
+    def test_aware_agnostic_and_none_agree_at_zero_strength(self):
+        config = ExperimentConfig(
+            model=ternary_20d_model(sigma_sq=1.0), eps=1.0,
+            classifiers=[ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR,
+                         ClassifierKind.MIN_DISTANCE],
+            attack_modes=[AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL,
+                          AttackMode.NONE],
+            sweep_axis="kappa", sweep_values=[0.0], trials=20_000, seed=6,
+        )
+        rows = run_experiment(config).rows
+        assert len(rows) == 9
+        for kind in ("glrt", "prl", "min-distance"):
+            values = {(r["error"], r["reject_rate"]) for r in rows if r["classifier"] == kind}
+            assert len(values) == 1, kind
+            assert next(iter(values))[0] > 0
 
 
 class TestTrialCounts:
