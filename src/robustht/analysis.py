@@ -29,6 +29,7 @@ from .model import (
     AttackSpec,
     HypothesisModel,
     TwoLevelProfile,
+    check_eps,
     pairwise_half_difference,
 )
 # truncated_gaussian_moment stays bound here: bench/tracing.py counts its calls
@@ -118,10 +119,7 @@ class ErrorEstimate:
 def _check_attack_params(eps: float, kappa: float, sigma: float) -> None:
     if sigma <= 0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
-    if not 0 <= kappa <= eps + 1e-12:
-        raise ValueError(f"kappa must satisfy 0 <= kappa <= eps, got kappa={kappa}, eps={eps}")
+    check_eps(eps, kappa)
 
 
 def y_bound_moments(mu: float, eps: float, kappa: float, sigma: float) -> CoordinateMoments:

@@ -21,7 +21,7 @@ from .classifiers import (
     MinimaxLinearClassifier,
     per_coordinate_cost_difference,
 )
-from .model import HypothesisModel, pairwise_half_difference
+from .model import HypothesisModel, check_eps, pairwise_half_difference
 from .rng import block_plan, noise_block
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "nn_class_min_distance",
     "nn_class_glrt",
     "heuristic_agnostic_attack",
+    "sign_replays",
     "noise_aware_labels",
     "noise_aware_attack",
     "brute_force_attack_oracle",
@@ -120,8 +121,7 @@ def nn_class_min_distance(model: HypothesisModel, true_class: int, eps: float) -
     h = (mu_j - mu_k)/2; the argmin is the class whose binary test fails
     worst under a sign attack of magnitude eps. Lowest index wins ties.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_eps(eps)
     j = model.check_class(true_class)
     scores = {}
     for k, h in _candidate_separations(model, j).items():
@@ -144,11 +144,8 @@ def nn_class_glrt(
     matter. An all-zero score set is legal and resolved by the tie rule
     with the degenerate flag set.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
     kappa = eps if kappa is None else float(kappa)
-    if not 0 <= kappa <= eps + _BUDGET_TOL:
-        raise ValueError(f"kappa must satisfy 0 <= kappa <= eps, got kappa={kappa}, eps={eps}")
+    check_eps(eps, kappa)
     j = model.check_class(true_class)
     threshold = 0.5 * (kappa + eps)
     scores = {}
@@ -176,8 +173,7 @@ def heuristic_agnostic_attack(
     soft-threshold criterion in (eps, kappa). feasible is always True:
     an agnostic adversary cannot certify misclassification.
     """
-    if not 0 <= kappa <= eps + _BUDGET_TOL:
-        raise ValueError(f"kappa must satisfy 0 <= kappa <= eps, got kappa={kappa}, eps={eps}")
+    check_eps(eps, kappa)
     j = model.check_class(true_class)
     if classifier_kind is ClassifierKind.MIN_DISTANCE:
         nn = nn_class_min_distance(model, j, kappa)
@@ -193,35 +189,35 @@ def heuristic_agnostic_attack(
     return AttackResult(vector=_assert_budget(vector, eps), feasible=True, target_class=nn.target)
 
 
-def noise_aware_labels(
-    model: HypothesisModel,
-    decide,
-    true_class: int,
-    strength: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Labels under the optimal noise-aware attack, one row per noise draw.
+def sign_replays(model: HypothesisModel, true_class: int, strength: float) -> dict:
+    """The noise-aware adversary's replays {rival: attack}, in the order it tries them.
 
-    decide(e) returns the classifier's labels of the unattacked
-    observations mu_true + N (one row per draw) shifted by the attack e,
-    each row decided on its own. Knowing the noise realization, the
-    adversary replays each of the M-1 binary sign attacks through decide
-    and takes the first (lowest candidate index) that makes the decision
-    leave the true class; REJECT counts as leaving. Rows where none works
-    keep the zero attack's labels. A decide that memoises its labels by
-    attack lets callers share these decisions with fixed-attack cells.
-    Returns (labels, targets): the decision under the chosen attack, and
-    the competing class it steers toward, or -1 for the zero attack.
+    The zero attack, keyed -1, then the sign attack toward each rival k, keyed k.
     """
     j = model.check_class(true_class)
-    labels = decide(np.zeros(model.dim)).copy()
-    targets = np.full(labels.shape[0], -1, dtype=np.int64)
+    replays = {-1: np.zeros(model.dim)}
     for k in range(model.num_classes):
-        if k == j:
-            continue
-        flipped = decide(binary_sign_attack(model, j, k, strength))
-        newly = (flipped != j) & (targets < 0)
-        labels[newly] = flipped[newly]
-        targets[newly] = k
+        if k != j:
+            replays[k] = binary_sign_attack(model, j, k, strength)
+    return replays
+
+
+def noise_aware_labels(true_class: int, rivals, decided) -> tuple[np.ndarray, np.ndarray]:
+    """Labels under a replay of attacks, one row per noise draw.
+
+    decided[i] holds the labels of the observations under the attack toward
+    rivals[i]. Each row starts from the first replay's label and takes the
+    first later replay whose label leaves the true class (REJECT counts as
+    leaving), even where the first already misclassifies it. One replay is
+    a fixed attack; the `sign_replays` are the optimal noise-aware attack.
+    Returns (labels, targets): the chosen replay's labels and its rival.
+    """
+    labels, targets = decided[0].copy(), np.full(len(decided[0]), rivals[0])
+    # the last replay first, so that the first one that leaves is applied last
+    for k, flipped in reversed(list(zip(rivals[1:], decided[1:]))):
+        leaves = flipped != true_class
+        np.copyto(labels, flipped, where=leaves)
+        targets[leaves] = k
     return labels, targets
 
 
@@ -234,22 +230,20 @@ def noise_aware_attack(
 ) -> AttackResult:
     """Optimal noise-aware attack of the given l-infinity magnitude.
 
-    The one-row view of `noise_aware_labels`. If no sign attack leaves the
-    true class, misclassification is not achievable with this procedure
-    and the zero attack is returned with feasible False.
+    The one-row view of `noise_aware_labels` over the `sign_replays`. If no
+    sign attack leaves the true class, misclassification is not achievable
+    with this procedure and the zero attack is returned with feasible False.
     """
     noise = np.asarray(observation_noise, dtype=float)
     if noise.shape != (model.dim,):
         raise ValueError(f"noise must have shape ({model.dim},), got {noise.shape}")
     j = model.check_class(true_class)
     base = model.means[j] + noise[None, :]
-    _, targets = noise_aware_labels(model, lambda e: classifier.decide_batch(base + e), j, strength)
+    replays = sign_replays(model, j, strength)
+    decided = [classifier.decide_batch(base + e) for e in replays.values()]
+    _, targets = noise_aware_labels(j, list(replays), decided)
     k = int(targets[0])
-    if k < 0:
-        return AttackResult(vector=np.zeros(model.dim), feasible=False, target_class=None)
-    return AttackResult(
-        vector=binary_sign_attack(model, j, k, strength), feasible=True, target_class=k
-    )
+    return AttackResult(vector=replays[k], feasible=k >= 0, target_class=k if k >= 0 else None)
 
 
 @dataclass(frozen=True)
@@ -316,8 +310,7 @@ def brute_force_attack_oracle(
             f"the grid oracle supports d <= 3, got d = {d} "
             f"({grid_points_per_axis}^{d} grid points would not be tractable)"
         )
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_eps(eps)
     if grid_points_per_axis < 1:
         raise ValueError("need at least one grid point per axis")
     if eps == 0:

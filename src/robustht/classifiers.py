@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import REJECT, HypothesisModel, pairwise_half_difference
+from .model import REJECT, HypothesisModel, check_eps, pairwise_half_difference
 
 __all__ = [
     "ClassifierKind",
@@ -70,8 +70,7 @@ def minimax_linear_rule(model: HypothesisModel, j: int, k: int, eps: float) -> L
     shrinking the rest; the offset recentres at the midpoint. Positive
     statistic favors class j.
     """
-    if eps < 0:
-        raise ValueError(f"eps must be >= 0, got {eps}")
+    check_eps(eps)
     half_diff = pairwise_half_difference(model, j, k)
     weight = np.sign(half_diff) * np.maximum(0.0, np.abs(half_diff) - eps)
     midpoint = (model.means[j] + model.means[k]) / 2.0
@@ -155,10 +154,8 @@ class GlrtClassifier:
     kind = ClassifierKind.GLRT
 
     def __init__(self, model: HypothesisModel, eps: float):
-        if eps < 0:
-            raise ValueError(f"eps must be >= 0, got {eps}")
         self.model = model
-        self.eps = float(eps)
+        self.eps = check_eps(eps)
 
     def decide_batch(self, x) -> np.ndarray:
         return _nearest_class(x, self.model.means, self.eps)

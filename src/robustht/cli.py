@@ -39,7 +39,7 @@ from .engine import (
     run_experiment,
     run_experiments,
 )
-from .model import AttackMode, HypothesisModel, TwoLevelProfile
+from .model import AttackMode, HypothesisModel, TwoLevelProfile, check_eps
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -211,6 +211,8 @@ def _warn_nonuniform(model: HypothesisModel) -> None:
 
 def _cmd_simulate(args) -> int:
     raw = json.loads(args.config.read_text())
+    if not isinstance(raw, dict):
+        raise ConfigError("config: expected a JSON object")
     if args.seed is not None:
         raw["seed"] = args.seed
     if args.trials is not None:
@@ -321,6 +323,7 @@ def _cmd_nn_class(args) -> int:
     model = _load_model(args.model)
     _warn_nonuniform(model)
     kappa = args.eps if args.kappa is None else args.kappa
+    check_eps(args.eps, kappa)
     lines = ["classifier,true_class,nn_class,score,degenerate"]
     for j in range(model.num_classes):
         sel = nn_class_min_distance(model, j, kappa)

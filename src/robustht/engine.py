@@ -9,10 +9,10 @@ run that has the same seed, trials and dimension (a whole kappa or
 eps_over_sigma_sq sweep, one dimension of a dimension sweep), across the
 configs of a multi-config run too, which turns the paper-style ordering
 comparisons into paired tests and draws each noise block once per run.
-Cells that see the same observations (same model, classifier, true class
-and sigma) also share decisions: each distinct attack on a row tile is
-decided once, and noise-aware cells replay the sign attacks through that
-memo, so they reuse the agnostic and zero-attack labels.
+Each cell's attack is resolved once to replays (`_attack_plan`). Cells that
+see the same observations (same model, classifier, true class and sigma)
+decide each of their distinct attacks once per row tile, and every cell
+takes its labels from its replays by one rule, `attacks.noise_aware_labels`.
 """
 
 from __future__ import annotations
@@ -34,14 +34,16 @@ from .analysis import (
     clt_error,
     sigma_for_target_error,
 )
-from .attacks import heuristic_agnostic_attack, noise_aware_labels
+from .attacks import heuristic_agnostic_attack, noise_aware_labels, sign_replays
 from .classifiers import ClassifierKind, build_classifier
 from .model import (
     REJECT,
     AttackMode,
     AttackSpec,
+    ConfigError,
     HypothesisModel,
     TwoLevelProfile,
+    check_eps,
 )
 from .rng import block_plan, noise_block
 
@@ -94,50 +96,36 @@ class TrialCounts:
         return _Z95 * math.sqrt(p * (1.0 - p) / self.trials)
 
 
-def _attack_plan(model, classifier, spec: AttackSpec, true_class: int):
-    """Reduce an AttackSpec to either a fixed vector or the aware procedure."""
+def _attack_plan(model, classifier, spec: AttackSpec, true_class: int) -> dict[int, np.ndarray]:
+    """An AttackSpec's replays {rival: attack}: one, keyed -1, unless it is noise-aware."""
+    if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
+        return sign_replays(model, true_class, spec.strength)
     if spec.mode is AttackMode.NONE:
-        return ("fixed", np.zeros(model.dim))
+        return {-1: np.zeros(model.dim)}
     if spec.mode is AttackMode.FIXED_VECTOR:
-        return ("fixed", spec.vector)
+        return {-1: spec.vector}
     if spec.mode is AttackMode.NOISE_AGNOSTIC_HEURISTIC:
         result = heuristic_agnostic_attack(
             model, classifier.kind, true_class, spec.budget, spec.strength
         )
-        return ("fixed", result.vector)
-    if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
-        return ("aware", spec.strength)
+        return {-1: result.vector}
     raise ValueError(f"unknown attack mode: {spec.mode}")
 
 
-def _decision_groups(tasks) -> list[list[int]]:
-    """Indices of the tasks that decide the same observations mu_j + sigma * z.
+def _decision_groups(tasks) -> list[tuple[list, list]]:
+    """(members, attacks) of each group of tasks that see the same observations.
 
-    Only tasks with the same model and classifier objects, true class j
-    and sigma see the same observations, so only they share decisions.
+    Those are tasks with the same model and classifier objects, true class
+    and sigma. attacks holds the group's distinct attack vectors; member
+    (task, rivals, picks) replays attacks[picks[i]] toward rivals[i].
     """
-    groups: dict[tuple, list[int]] = {}
-    for t, (model, classifier, _, j, sigma) in enumerate(tasks):
-        groups.setdefault((id(model), id(classifier), j, sigma), []).append(t)
-    return list(groups.values())
-
-
-def _tile_decider(classifier, base, out):
-    """decide(e): the labels of base + e, each distinct attack decided once.
-
-    The memo is keyed by the attack's bytes and lives only as long as the
-    decider, that is one tile of one task group. base + e is built in out,
-    which may be base itself when decide is called for one attack only.
-    """
-    memo = {}
-
-    def decide(e):
-        key = e.tobytes()
-        if key not in memo:
-            memo[key] = classifier.decide_batch(np.add(base, e, out=out[:base.shape[0]]))
-        return memo[key]
-
-    return decide
+    groups: dict[tuple, tuple[list, dict]] = {}
+    for t, (model, classifier, spec, j, sigma) in enumerate(tasks):
+        members, attacks = groups.setdefault((id(model), id(classifier), j, sigma), ([], {}))
+        replays = _attack_plan(model, classifier, spec, j)
+        picks = [attacks.setdefault(e.tobytes(), (len(attacks), e))[0] for e in replays.values()]
+        members.append((t, list(replays), picks))
+    return [(members, [e for _, e in attacks.values()]) for members, attacks in groups.values()]
 
 
 def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
@@ -145,10 +133,9 @@ def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
 
     For each group of tasks that decide the same observations, mu_j +
     sigma * z is built one row tile of about _TILE_ELEMENTS values at a
-    time, in one reused buffer, and each distinct attack on that tile is
-    decided once: a fixed cell reads its vector's labels, and an aware cell
-    replays the sign attacks through the same memo, so it reuses the
-    agnostic and zero-attack decisions. Each row is built as
+    time, in one reused buffer, and each of the group's distinct attacks
+    is decided once on it. Every task's labels then come from its replays
+    of those decisions through `noise_aware_labels`. Each row is built as
     (sigma * z + mu_j) + e and decided on its own, so neither tiling nor
     sharing changes a single label.
     """
@@ -157,24 +144,22 @@ def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
     tile = np.empty((min(step, rows), dim))
     attacked = np.empty_like(tile)
     counts = [TrialCounts(0, 0, rows) for _ in tasks]
-    for members in groups:
-        model, classifier, plan, j, sigma = tasks[members[0]]
-        # a lone fixed attack is added in place, which keeps one tile in cache
-        # (a dimension sweep's groups); a shared memo needs base kept intact
-        out = tile if len(members) == 1 and plan[0] == "fixed" else attacked
+    for members, attacks in groups:
+        model, classifier, _, j, sigma = tasks[members[0][0]]
+        # a lone attack is added in place, which keeps one tile in cache (a
+        # dimension sweep's groups); several need the tile kept intact
+        out = tile if len(attacks) == 1 else attacked
         for lo in range(0, rows, step):
             z = z_block[lo:lo + step]
             base = np.multiply(sigma, z, out=tile[:z.shape[0]])
             base += model.means[j]
-            decide = _tile_decider(classifier, base, out)
-            for t in members:
-                mode, arg = tasks[t][2]
-                if mode == "fixed":
-                    labels = decide(arg)
-                else:
-                    labels, _ = noise_aware_labels(model, decide, j, arg)
+            decided = [classifier.decide_batch(np.add(base, e, out=out[:z.shape[0]]))
+                       for e in attacks]
+            for t, rivals, picks in members:
+                labels, _ = noise_aware_labels(j, rivals, [decided[i] for i in picks])
                 counts[t].errors += int(np.count_nonzero(labels != j))
                 counts[t].rejects += int(np.count_nonzero(labels == REJECT))
+            del decided, labels  # one tile's labels at a time: free them before the next
     return counts
 
 
@@ -195,7 +180,7 @@ def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
         return [true_class] if true_class is not None else range(model.num_classes)
 
     tasks = [
-        (model, classifier, _attack_plan(model, classifier, spec, j), j, sigma)
+        (model, classifier, spec, j, sigma)
         for model, classifier, spec, sigma in cells
         for j in classes(model)
     ]
@@ -262,10 +247,6 @@ SWEEP_DIMENSION = "dimension"
 _VALID_AXES = (SWEEP_KAPPA, SWEEP_EPS_OVER_SIGMA_SQ, SWEEP_DIMENSION)
 
 
-class ConfigError(ValueError):
-    """Experiment configuration failed validation; message names the field."""
-
-
 @dataclass
 class ExperimentConfig:
     """Declarative description of one tabular experiment sweep.
@@ -315,8 +296,12 @@ class ExperimentConfig:
                 f"attack_modes: {AttackMode.FIXED_VECTOR.value!r} needs a vector, "
                 "which a config cannot carry"
             )
-        if self.eps < 0:
-            raise ConfigError(f"eps: must be >= 0, got {self.eps}")
+        check_eps(self.eps)
+        if self.target_error is not None and not 0 < self.target_error < 0.5:
+            raise ConfigError(f"target_error: must lie in (0, 0.5), got {self.target_error}")
+        if self.calibration_method not in (METHOD_CLT_EXACT, METHOD_MONTE_CARLO):
+            raise ConfigError(f"calibration_method: must be {METHOD_CLT_EXACT!r} or "
+                              f"{METHOD_MONTE_CARLO!r}, got {self.calibration_method!r}")
         if self.sweep_axis == SWEEP_DIMENSION:
             if self.profile is None:
                 raise ConfigError("sweep.axis=dimension requires a profile, not a model")

@@ -7,6 +7,7 @@ where e is an l-infinity bounded perturbation chosen by the adversary.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ __all__ = [
     "AttackMode",
     "AttackSpec",
     "pairwise_half_difference",
+    "ConfigError",
+    "check_eps",
 ]
 
 #: Sentinel label for a pairwise-robust classifier that finds no clear winner.
@@ -127,8 +130,8 @@ class TwoLevelProfile:
             raise ValueError(f"a must be > 1, got {self.a}")
         if not 0 <= self.b <= 1:
             raise ValueError(f"b must be in [0, 1], got {self.b}")
-        if not self.eps > 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+        if not 0 < self.eps < math.inf:
+            raise ValueError(f"eps must be > 0 and finite, got {self.eps}")
         n_a = self.p * self.d
         if abs(n_a - round(n_a)) > 1e-9 or not 0 < round(n_a) < self.d:
             raise ValueError(
@@ -198,3 +201,15 @@ def pairwise_half_difference(model: HypothesisModel, j: int, k: int) -> np.ndarr
         raise ValueError(f"need two distinct classes, got j = k = {j}")
     return (model.means[j] - model.means[k]) / 2.0
 
+
+class ConfigError(ValueError):
+    """Input failed validation; the message names the field."""
+
+
+def check_eps(eps: float, kappa: float | None = None) -> float:
+    """eps as a float, once it is finite and >= 0 and kappa, if given, lies in [0, eps]."""
+    if not 0 <= eps < math.inf:
+        raise ConfigError(f"eps: must be finite and >= 0, got {eps}")
+    if kappa is not None and not 0 <= kappa <= eps + 1e-12:
+        raise ConfigError(f"kappa: must satisfy 0 <= kappa <= eps, got kappa={kappa}, eps={eps}")
+    return float(eps)

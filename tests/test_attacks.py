@@ -18,6 +18,7 @@ from robustht.classifiers import (
     GlrtClassifier,
     MinDistanceClassifier,
     PairwiseRobustLinearClassifier,
+    build_classifier,
 )
 from robustht.configs import ternary_20d_model
 from robustht.engine import monte_carlo_error
@@ -339,6 +340,23 @@ class TestBruteForceOracle:
             threaded = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
                                                  trials=trials, seed=seed, threads=2)
             np.testing.assert_array_equal(threaded.errors, surf.errors)
+
+    @pytest.mark.parametrize("kind", ["minimax", "glrt", "min-distance"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_separable_path_equals_decide_batch_replay(self, d, kind):
+        m = HypothesisModel.symmetric_binary(np.array([0.9, -0.7, 0.6])[:d], 0.6)
+        clf = build_classifier(ClassifierKind(kind), m, 0.5)
+        trials, seed = 3000, 5
+        noise = m.sigma * noise_block(seed, 0, trials, d)
+        for j in (0, 1):
+            surf = brute_force_attack_oracle(m, clf, j, eps=0.5, grid_points_per_axis=7,
+                                             trials=trials, seed=seed)
+            grid = np.array(list(itertools.product(*surf.axes)))
+            x = (grid[:, None, :] + (m.means[j] + noise)[None, :, :]).reshape(-1, d)
+            labels = clf.decide_batch(x).reshape(len(grid), trials)
+            wrong = np.count_nonzero(labels != j, axis=1).reshape(surf.errors.shape)
+            np.testing.assert_array_equal(surf.errors, wrong / trials)
+            assert 0 < wrong.min() < wrong.max() < trials
 
     @pytest.mark.parametrize("kind", ["glrt", "min-distance"])
     @pytest.mark.parametrize("num_classes", [3, 4, 5])

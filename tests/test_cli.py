@@ -383,11 +383,13 @@ def test_true_class_out_of_range_rejected_before_sampling(
     ("sweep.values", {"eps": 1.0, "sweep": {"axis": "kappa", "values": [1.5]}}),
     ("sweep.values", {"sweep": {"axis": "kappa", "values": ["x"]}}),
     ("eps", {"eps": "abc"}),
+    ("eps", {"eps": float("nan")}),
+    ("eps", {"eps": float("inf")}),
     ("seed", {"seed": "s"}),
     ("seed", {"seed": 1.5}),
     ("trials", {"trials": 2.7}),
     ("true_class", {"true_class": 0.5}),
-], ids=["kappa-above-eps", "value-not-number", "eps-string", "seed-string",
+], ids=["kappa-above-eps", "value-not-number", "eps-string", "eps-nan", "eps-inf", "seed-string",
         "seed-fraction", "trials-fraction", "true-class-fraction"])
 def test_malformed_config_value_names_field(tmp_path, monkeypatch, capsys, field, patch):
     path = tmp_path / "config.json"
@@ -406,6 +408,32 @@ def test_nonpositive_threads_rejected_before_sampling(tmp_path, monkeypatch, cap
                                                       argv, threads):
     argv = [*argv, "--threads", threads]
     assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith("threads:")
+
+
+@pytest.mark.parametrize("flags", [[], ["--seed", "3"], ["--trials", "100"]],
+                         ids=["no-override", "seed", "trials"])
+@pytest.mark.parametrize("raw", [[_TERNARY_KAPPA_CONFIG], "config"], ids=["list", "string"])
+def test_config_not_an_object_names_config(tmp_path, monkeypatch, capsys, raw, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    argv = ["simulate", str(path), *flags]
+    assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith("config:")
+
+
+@pytest.mark.parametrize("field, argv", [
+    ("eps", ["attack-surface", "--model", "ternary-2d", "--trials", "100", "--eps", "nan"]),
+    ("eps", ["attack-surface", "--model", "ternary-2d", "--trials", "100", "--eps", "inf"]),
+    ("eps", ["attack-surface", "--model", "ternary-2d", "--trials", "100", "--eps", "nan",
+             "--classifier", "min-distance"]),
+    ("eps", ["nn-class", "--model", "ternary-2d", "--eps", "inf"]),
+    ("eps", ["nn-class", "--model", "ternary-2d", "--eps", "nan"]),
+    ("kappa", ["nn-class", "--model", "ternary-2d", "--eps", "1", "--kappa", "nan"]),
+    ("eps", ["predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "inf",
+             "--sigma", "1"]),
+], ids=["surface-nan", "surface-inf", "surface-min-distance-nan", "nn-class-inf", "nn-class-nan",
+        "nn-class-kappa-nan", "predict-inf"])
+def test_non_finite_budget_names_field(tmp_path, monkeypatch, capsys, field, argv):
+    assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith(field)
 
 
 @pytest.mark.parametrize("true_class", ["5", "-1"])

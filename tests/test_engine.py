@@ -208,7 +208,7 @@ class TestCountBlockTiles:
 
     @staticmethod
     def one_shot(model, classifier, spec, j, z, sigma) -> TrialCounts:
-        """One cell's counts from whole-block decide_batch calls, with no memo."""
+        """One cell's counts from whole-block decide_batch calls, with nothing shared."""
         base = sigma * z + model.means[j]
         if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
             labels = classifier.decide_batch(base)
@@ -221,7 +221,8 @@ class TestCountBlockTiles:
                     labels[newly] = flipped[newly]
                     left |= newly
         else:
-            _, e = robustht.engine._attack_plan(model, classifier, spec, j)
+            [(rival, e)] = robustht.engine._attack_plan(model, classifier, spec, j).items()
+            assert rival == -1
             labels = classifier.decide_batch(base + e)
         return TrialCounts(int((labels != j).sum()), int((labels == REJECT).sum()), z.shape[0])
 
@@ -249,7 +250,7 @@ class TestCountBlockTiles:
     def test_bit_exact_against_one_shot(self, dim, kind, tile, monkeypatch):
         monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", tile)
         assert self.ROWS % max(1, tile // dim) != 0
-        # every cell of one true class shares the tile memo
+        # every cell of one true class shares the tile's decisions
         cells, expected = self.case(dim, kind)
         for j, counts in enumerate(expected):
             tallied = robustht.engine._monte_carlo_cells(cells, j, self.ROWS, 11, 1)
@@ -261,6 +262,25 @@ class TestCountBlockTiles:
             assert agnostic[2].strength == 0.2
             assert robustht.engine._monte_carlo_cells([agnostic], j, self.ROWS, 11, 1) == [
                 tallied[2]]
+
+    def test_sign_attacks_built_at_plan_time(self, monkeypatch):
+        # more tiles per block must not build more sign attacks
+        calls = []
+        real = robustht.attacks.binary_sign_attack
+        monkeypatch.setattr(robustht.attacks, "binary_sign_attack",
+                            lambda *args: calls.append(args) or real(*args))
+        model = ternary_20d_model(sigma_sq=1.0)
+        classifier = build_classifier(ClassifierKind.GLRT, model, 1.0)
+        cells = [(model, classifier, AttackSpec(budget=1.0, strength=0.5, mode=mode), model.sigma)
+                 for mode in (AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL)]
+        counted = []
+        for tile in (1 << 16, 1000):
+            monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", tile)
+            calls.clear()
+            robustht.engine._monte_carlo_cells(cells, None, 4096, 3, 1)
+            counted.append(len(calls))
+        # per true class: the agnostic attack's, and the aware attack's toward each rival
+        assert counted == [3 * (1 + 2)] * 2
 
 
 class TestSharedDecisions:
@@ -590,6 +610,27 @@ class TestConfigValidation:
         config = kappa_sweep_config(sweep_axis="dimension", sweep_values=[10, 20])
         with pytest.raises(ConfigError, match="target_error"):
             config.validate()
+
+    @pytest.mark.parametrize("field, value", [
+        ("calibration_method", "bogus"), ("target_error", 0.7), ("target_error", 0.0),
+        ("target_error", math.nan)])
+    def test_bad_calibration_rejected_before_any_sampling(self, field, value, monkeypatch):
+        # the first config is valid: none of its rows may come out or be sampled
+        draws, rows = [], []
+        real = robustht.engine.noise_block
+        monkeypatch.setattr(robustht.engine, "noise_block",
+                            lambda *args: draws.append(args) or real(*args))
+        configs = [kappa_sweep_config(trials=1000), dimension_sweep_config(**{field: value})]
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            run_experiments(configs, row_sink=rows.append)
+        assert draws == [] and rows == []
+
+    @pytest.mark.parametrize("field, value", [("calibration_method", "bogus"),
+                                              ("target_error", 0.7)])
+    def test_calibration_fields_checked_on_every_axis(self, field, value):
+        # unused off the dimension axis, but written to the sidecar and hashed
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            kappa_sweep_config(**{field: value}).validate()
 
     def test_dimension_axis_takes_one_kappa(self):
         with pytest.raises(ConfigError, match="kappas"):
