@@ -51,7 +51,6 @@ from .engine import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
-    TrialCounts,
     monte_carlo_error,
     run_experiment,
     run_experiments,
@@ -91,6 +90,6 @@ __all__ = [
     "METHOD_MONTE_CARLO", "METHOD_CLT_EXACT", "METHOD_CLT_LOWER_BOUND",
     "METHOD_Q_OF_SNR",
     # engine
-    "TrialCounts", "ConfigError", "ExperimentConfig", "ExperimentResult",
+    "ConfigError", "ExperimentConfig", "ExperimentResult",
     "monte_carlo_error", "run_experiment", "run_experiments",
 ]

@@ -40,7 +40,7 @@ from .numerics import (  # noqa: F401
     truncated_gaussian_moment,
     truncated_gaussian_moments,
 )
-from .rng import block_plan, noise_block
+from .rng import noise_block, sum_over_blocks
 
 __all__ = [
     "MOMENTS_EXACT_C",
@@ -327,9 +327,9 @@ def sigma_for_target_error(
     """Noise level at which the soft-threshold rule hits a target error.
 
     Error is smooth and increasing in sigma, so a geometric bracket plus
-    bisection suffices. With the analytic method the result matches the
-    target to rel_tol; with Monte Carlo the search stops once the estimate
-    is within its own confidence half-width of the target.
+    bisection suffices. The search stops once the estimate is within
+    rel_tol of the target, or, with Monte Carlo, within its own confidence
+    half-width of it (the analytic half-width is 0).
     """
     if not 0.0 < target_error < 0.5:
         raise ValueError(f"target_error must be in (0, 0.5), got {target_error}")
@@ -358,7 +358,7 @@ def sigma_for_target_error(
             return est.value, est.ci_halfwidth
 
     lo = hi = float(profile.eps)
-    e_hi, _ = err(hi)
+    e_lo = e_hi = err(lo)[0]
     grow = 0
     while e_hi < target_error:
         hi *= 2.0
@@ -368,7 +368,6 @@ def sigma_for_target_error(
             raise BracketExhaustedError(
                 f"no sigma <= {hi} reaches error {target_error}"
             )
-    e_lo, _ = err(lo)
     grow = 0
     while e_lo > target_error:
         lo /= 2.0
@@ -382,12 +381,8 @@ def sigma_for_target_error(
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         e_mid, ci = err(mid)
-        if method == METHOD_CLT_EXACT:
-            if abs(e_mid - target_error) <= rel_tol * target_error:
-                return mid
-        else:
-            if abs(e_mid - target_error) <= max(ci, rel_tol * target_error):
-                return mid
+        if abs(e_mid - target_error) <= max(ci, rel_tol * target_error):
+            return mid
         if e_mid < target_error:
             lo = mid
         else:
@@ -437,16 +432,14 @@ def moment_study(
 
 def _sample_cost_moments(mu, eps, kappa, sigma, trials, seed):
     """Sample mean/variance of C with asymptotic standard errors."""
-    n = 0
-    s1 = s2 = s3 = s4 = 0.0
-    for b, _, rows in block_plan(trials):
+
+    def power_sums(b, rows):
         noise = sigma * noise_block(seed, b, rows, 1)[:, 0]
         c = per_coordinate_cost_difference(abs(mu), noise, -kappa, eps)
-        n += rows
-        s1 += c.sum()
-        s2 += (c * c).sum()
-        s3 += (c**3).sum()
-        s4 += (c**4).sum()
+        return np.array([c.sum(), (c * c).sum(), (c**3).sum(), (c**4).sum()])
+
+    n = trials
+    s1, s2, s3, s4 = sum_over_blocks(trials, power_sums)
     mean = s1 / n
     m2 = s2 / n - mean * mean
     # fourth central moment drives the SE of the sample variance

@@ -9,12 +9,12 @@ coordinates with no separation are left untouched.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import (
+    _CHUNK_ELEMENTS,
     ClassifierKind,
     GlrtClassifier,
     MinDistanceClassifier,
@@ -22,7 +22,7 @@ from .classifiers import (
     per_coordinate_cost_difference,
 )
 from .model import HypothesisModel, check_eps, pairwise_half_difference
-from .rng import block_plan, noise_block
+from .rng import noise_block, sum_over_blocks
 
 __all__ = [
     "UnsupportedDimensionError",
@@ -293,12 +293,13 @@ def brute_force_attack_oracle(
 
     Exhaustively realizes the noise-agnostic maximization over the
     l-infinity ball at desk scale (d <= 3), with common random numbers
-    across grid points. Noise is drawn and counted one block at a time.
-    Binary models with cost- or statistic-separable rules take a
-    per-coordinate fast path; the GLRT and minimum distance with more
-    classes compare per-class costs summed from per-coordinate tables, on
-    one thread; everything else (the pairwise robust linear rule) goes
-    through the classifier's batch decisions in grid chunks.
+    across grid points. Noise is drawn and counted one block at a time,
+    on up to `threads` blocks at once (`rng.sum_over_blocks`). Binary
+    models with cost- or statistic-separable rules take a per-coordinate
+    fast path; the GLRT and minimum distance with more classes compare
+    per-class costs summed from per-coordinate tables; everything else
+    (the pairwise robust linear rule) goes through the classifier's batch
+    decisions in grid chunks.
     """
     try:
         j = model.check_class(true_class)
@@ -322,18 +323,21 @@ def brute_force_attack_oracle(
     separable = model.num_classes == 2 and (
         nearest or isinstance(classifier, MinimaxLinearClassifier)
     )
-    counts = np.zeros(tuple(len(a) for a in axes), dtype=np.int64)
+    if separable:
+        surface_counts = _separable_surface_counts
+    elif nearest:
+        surface_counts = _nearest_surface_counts
+    else:
+        surface_counts = _generic_surface_counts
     # identical per-trial noise to the sweep engine's, so grid estimates and
     # engine estimates at the same (seed, trials) are exactly comparable;
-    # one block is live at a time and the integer counts add up across blocks
-    for b, _, rows in block_plan(trials):
-        noise = model.sigma * noise_block(seed, b, rows, d)
-        if separable:
-            counts += _separable_surface_counts(model, classifier, j, axes, noise)
-        elif nearest:
-            counts += _nearest_surface_counts(model, classifier, j, axes, noise)
-        else:
-            counts += _generic_surface_counts(model, classifier, j, axes, noise, threads)
+    # the integer counts of each block add up across blocks
+    counts = sum_over_blocks(
+        trials,
+        lambda b, rows: surface_counts(model, classifier, j, axes,
+                                       model.sigma * noise_block(seed, b, rows, d)),
+        threads,
+    )
     return ErrorSurface(
         axes=axes,
         errors=counts / trials,
@@ -444,25 +448,16 @@ def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     return counts
 
 
-def _generic_surface_counts(model, classifier, j, axes, noise, threads) -> np.ndarray:
+def _generic_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     grid = np.array(list(itertools.product(*axes)))
     trials, d = noise.shape
     base = model.means[j] + noise
 
-    # keep each span's observation tensor near 2^20 values
-    chunk = max(1, (1 << 20) // (trials * d))
-    spans = [(s, min(s + chunk, len(grid))) for s in range(0, len(grid), chunk)]
-
-    def run_span(span):
-        lo, hi = span
-        x = grid[lo:hi, None, :] + base[None, :, :]
-        labels = classifier.decide_batch(x.reshape(-1, d)).reshape(hi - lo, trials)
-        return (labels != j).sum(axis=1)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_span, spans))
-    else:
-        parts = [run_span(s) for s in spans]
-    counts = np.concatenate(parts)
-    return counts.reshape(tuple(len(a) for a in axes))
+    # keep each span's observation tensor near one decision workspace
+    chunk = max(1, _CHUNK_ELEMENTS // (trials * d))
+    parts = []
+    for lo in range(0, len(grid), chunk):
+        x = grid[lo:lo + chunk, None, :] + base[None, :, :]
+        labels = classifier.decide_batch(x.reshape(-1, d)).reshape(x.shape[0], trials)
+        parts.append((labels != j).sum(axis=1))
+    return np.concatenate(parts).reshape(tuple(len(a) for a in axes))

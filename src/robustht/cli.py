@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -227,6 +228,10 @@ def _cmd_simulate(args) -> int:
 def _cmd_predict(args) -> int:
     profile = TwoLevelProfile(d=args.d, p=args.p, a=args.a, b=args.b, eps=args.eps)
     model = profile.to_model(args.sigma)
+    for kappa in args.kappa:
+        # a finite kappa above eps is an overdriven attack: only its minimax row is written
+        if not 0 <= kappa < math.inf:
+            raise ConfigError(f"kappa: must be finite and >= 0, got {kappa}")
 
     def run(sink):
         for kappa in args.kappa:

@@ -2,13 +2,14 @@
 
 The engine turns (model, classifier, attack policy) into error frequencies
 with reproducibility guarantees: noise comes from counter-based substreams
-keyed by (seed, block), errors are integer counts per block, and merging
-counts is order-independent, so results are byte-identical for any
-`threads` setting. Common random numbers are shared by every cell of one
-run that has the same seed, trials and dimension (a whole kappa or
-eps_over_sigma_sq sweep, one dimension of a dimension sweep), across the
-configs of a multi-config run too, which turns the paper-style ordering
-comparisons into paired tests and draws each noise block once per run.
+keyed by (seed, block), errors are integer counts per block, and
+`rng.sum_over_blocks` adds them in block order, so results are
+byte-identical for any `threads` setting. Common random numbers are
+shared by every cell of one run that has the same seed, trials and
+dimension (a whole kappa or eps_over_sigma_sq sweep, one dimension of a
+dimension sweep), across the configs of a multi-config run too, which
+turns the paper-style ordering comparisons into paired tests and draws
+each noise block once per run.
 Each cell's attack is resolved once to replays (`_attack_plan`). Cells that
 see the same observations (same model, classifier, true class and sigma)
 decide each of their distinct attacks once per row tile, and every cell
@@ -22,7 +23,6 @@ import itertools
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,11 +45,10 @@ from .model import (
     TwoLevelProfile,
     check_eps,
 )
-from .rng import block_plan, noise_block
+from .rng import noise_block, sum_over_blocks
 
 __all__ = [
     "CSV_HEADER",
-    "TrialCounts",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentResult",
@@ -68,32 +67,6 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 # float64 values per observation tile of `_tally_block` (512 KB), the size of
 # the decision kernel's workspace
 _TILE_ELEMENTS = 1 << 16
-
-
-@dataclass
-class TrialCounts:
-    """Integer tallies of one class-conditional simulation."""
-
-    errors: int = 0
-    rejects: int = 0
-    trials: int = 0
-
-    def merge(self, other: "TrialCounts") -> None:
-        self.errors += other.errors
-        self.rejects += other.rejects
-        self.trials += other.trials
-
-    @property
-    def error_rate(self) -> float:
-        return self.errors / self.trials
-
-    @property
-    def reject_rate(self) -> float:
-        return self.rejects / self.trials
-
-    def ci_halfwidth(self) -> float:
-        p = self.error_rate
-        return _Z95 * math.sqrt(p * (1.0 - p) / self.trials)
 
 
 def _attack_plan(model, classifier, spec: AttackSpec, true_class: int) -> dict[int, np.ndarray]:
@@ -128,8 +101,8 @@ def _decision_groups(tasks) -> list[tuple[list, list]]:
     return [(members, [e for _, e in attacks.values()]) for members, attacks in groups.values()]
 
 
-def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
-    """Tally errors and rejects of every task on one block of standard normal draws.
+def _tally_block(tasks, groups, z_block) -> np.ndarray:
+    """(errors, rejects) of every task, one row each, on one block of standard normal draws.
 
     For each group of tasks that decide the same observations, mu_j +
     sigma * z is built one row tile of about _TILE_ELEMENTS values at a
@@ -143,7 +116,7 @@ def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
     step = max(1, _TILE_ELEMENTS // dim)
     tile = np.empty((min(step, rows), dim))
     attacked = np.empty_like(tile)
-    counts = [TrialCounts(0, 0, rows) for _ in tasks]
+    counts = np.zeros((len(tasks), 2), dtype=np.int64)
     for members, attacks in groups:
         model, classifier, _, j, sigma = tasks[members[0][0]]
         # a lone attack is added in place, which keeps one tile in cache (a
@@ -157,8 +130,8 @@ def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
                        for e in attacks]
             for t, rivals, picks in members:
                 labels, _ = noise_aware_labels(j, rivals, [decided[i] for i in picks])
-                counts[t].errors += int(np.count_nonzero(labels != j))
-                counts[t].rejects += int(np.count_nonzero(labels == REJECT))
+                counts[t, 0] += np.count_nonzero(labels != j)
+                counts[t, 1] += np.count_nonzero(labels == REJECT)
             del decided, labels  # one tile's labels at a time: free them before the next
     return counts
 
@@ -166,15 +139,15 @@ def _tally_block(tasks, groups, z_block) -> list[TrialCounts]:
 def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
     """(error, ci, reject_rate) of each (model, classifier, AttackSpec, sigma) cell.
 
-    The one place where Monte Carlo noise is drawn: each block is drawn
-    once and every cell and true class is tallied on it, so all cells
-    share common random numbers. The cells' models share one dimension
+    The one place where the engine draws Monte Carlo noise: each block is
+    drawn once and every cell and true class is tallied on it, so all
+    cells share common random numbers; `rng.sum_over_blocks` adds up the
+    blocks' integer counts. The cells' models share one dimension
     and may differ in anything else. true_class picks a class-conditional
     error; None weights each model's class-conditional errors with its
     priors.
     """
     [dim] = {model.dim for model, _, _, _ in cells}
-    blocks = list(block_plan(trials))
 
     def classes(model):
         return [true_class] if true_class is not None else range(model.num_classes)
@@ -185,31 +158,23 @@ def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
         for j in classes(model)
     ]
     groups = _decision_groups(tasks)
+    totals = sum_over_blocks(
+        trials, lambda b, rows: _tally_block(tasks, groups, noise_block(seed, b, rows, dim)),
+        threads,
+    )
 
-    def run_block(block_spec):
-        b, _, rows = block_spec
-        return _tally_block(tasks, groups, noise_block(seed, b, rows, dim))
-
-    totals = [TrialCounts() for _ in tasks]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            tallies = list(pool.map(run_block, blocks))
-    else:
-        tallies = map(run_block, blocks)
-    for block_counts in tallies:
-        for total, counts in zip(totals, block_counts):
-            total.merge(counts)
-
+    # Wald intervals from the integer totals, weighted and added in quadrature
     out = []
-    per_cell = iter(totals)
+    per_task = iter(totals.tolist())
     for model, _, _, _ in cells:
         err = rej = var = 0.0
         for j in classes(model):
-            counts = next(per_cell)
+            errors, rejects = next(per_task)
             w = 1.0 if true_class is not None else float(model.priors[j])
-            err += w * counts.error_rate
-            rej += w * counts.reject_rate
-            var += (w * counts.ci_halfwidth()) ** 2
+            p = errors / trials
+            err += w * p
+            rej += w * (rejects / trials)
+            var += (w * (_Z95 * math.sqrt(p * (1.0 - p) / trials))) ** 2
         out.append((err, math.sqrt(var), rej))
     return out
 

@@ -3,15 +3,18 @@
 Trials are grouped into fixed-size blocks. Block b of a run seeded with s
 draws from an independent Philox stream keyed by (s, b), so the noise seen
 by trial t depends only on (seed, t) and never on scheduling or thread
-count. Error counts are integers summed per block, which makes aggregation
-order-independent and output byte-identical for any worker-pool size.
+count. Every Monte Carlo path (the sweep engine, the grid oracle and the
+moment study) sums its per-block counts through `sum_over_blocks`, in block
+order, so output is byte-identical for any worker-pool size.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-__all__ = ["BLOCK_SIZE", "block_plan", "noise_block", "substream"]
+__all__ = ["BLOCK_SIZE", "block_plan", "noise_block", "substream", "sum_over_blocks"]
 
 #: Trials per noise block. Fixed: changing it changes every sampled stream.
 BLOCK_SIZE = 8192
@@ -42,3 +45,19 @@ def noise_block(seed: int, block_index: int, rows: int, dim: int) -> np.ndarray:
     """Standard normal (rows, dim) block; row r holds trial block*BLOCK_SIZE + r."""
     return substream(seed, block_index).standard_normal((rows, dim))
 
+
+def sum_over_blocks(trials: int, count, threads: int = 1):
+    """The sum of count(block_index, rows) over the blocks of `trials`, added in block order.
+
+    count draws its own block (through `noise_block`) and returns its
+    counts, an integer or array of per-block sums. With threads > 1 the
+    blocks run on a pool of that many workers, so up to `threads` blocks
+    are alive at once; with one thread they run lazily, one at a time.
+    Either way the parts are added in block order, so the sum does not
+    depend on `threads`.
+    """
+    blocks = block_plan(trials)
+    if threads <= 1:
+        return sum(count(b, rows) for b, _, rows in blocks)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(lambda block: count(block[0], block[2]), blocks))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import robustht.engine
 from robustht.analysis import (
     METHOD_CLT_EXACT,
     METHOD_CLT_LOWER_BOUND,
@@ -358,11 +359,17 @@ class TestSigmaSearch:
             sigmas.append(sigma_for_target_error(profile, 1.0, target))
         assert sigmas[0] < sigmas[1] < sigmas[2]
 
-    def test_monte_carlo_method(self):
+    def test_monte_carlo_method(self, monkeypatch):
+        # the search runs no sigma twice, eps (its first sigma) included
+        searched = []
+        monkeypatch.setattr(robustht.engine, "monte_carlo_error",
+                            lambda model, *args, **kwargs: searched.append(model.sigma)
+                            or monte_carlo_error(model, *args, **kwargs))
         profile = TwoLevelProfile(d=20, p=0.1, a=1.1, b=0.9, eps=1.0)
         sigma = sigma_for_target_error(
             profile, 1.0, 0.1, method=METHOD_MONTE_CARLO, trials=20_000, seed=1
         )
+        assert searched[0] == 1.0 and len(set(searched)) == len(searched) > 2
         model = profile.to_model(sigma)
         est = monte_carlo_error(
             model, GlrtClassifier(model, 1.0),

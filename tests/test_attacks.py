@@ -336,10 +336,9 @@ class TestBruteForceOracle:
                 labels = np.argmin((resid ** 2).sum(axis=2), axis=1)
                 expect[i, j] = np.count_nonzero(labels != 0) / trials
         np.testing.assert_array_equal(surf.errors, expect)
-        if path != "separable":
-            threaded = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
-                                                 trials=trials, seed=seed, threads=2)
-            np.testing.assert_array_equal(threaded.errors, surf.errors)
+        threaded = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
+                                             trials=trials, seed=seed, threads=2)
+        np.testing.assert_array_equal(threaded.errors, surf.errors)
 
     @pytest.mark.parametrize("kind", ["minimax", "glrt", "min-distance"])
     @pytest.mark.parametrize("d", [1, 2, 3])

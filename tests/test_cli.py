@@ -451,6 +451,14 @@ def test_predict_zero_eps_rejected_before_output(tmp_path, monkeypatch, capsys):
     assert "eps must be > 0" in message
 
 
+@pytest.mark.parametrize("kappa", ["nan", "-1", "0.5,inf"])
+def test_predict_bad_kappa_rejected_before_output(tmp_path, monkeypatch, capsys, kappa):
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, [
+        "predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+        "--sigma", "1", f"--kappa={kappa}"])
+    assert message.startswith("kappa:")
+
+
 def test_model_file_without_sigma_names_model(tmp_path, capsys):
     path = tmp_path / "model.json"
     path.write_text(json.dumps({"means": [[0.0, 0.0], [2.5, 0.25]]}))

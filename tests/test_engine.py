@@ -2,14 +2,17 @@ import collections
 import functools
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import robustht.analysis
+import robustht.attacks
 import robustht.engine
 from robustht import cli
-from robustht.analysis import METHOD_CLT_EXACT, METHOD_MONTE_CARLO
-from robustht.attacks import binary_sign_attack
+from robustht.analysis import METHOD_CLT_EXACT, METHOD_MONTE_CARLO, moment_study
+from robustht.attacks import binary_sign_attack, brute_force_attack_oracle
 from robustht.classifiers import (
     ClassifierKind,
     GlrtClassifier,
@@ -22,7 +25,6 @@ from robustht.engine import (
     CSV_HEADER,
     ConfigError,
     ExperimentConfig,
-    TrialCounts,
     format_row,
     monte_carlo_error,
     run_experiment,
@@ -30,7 +32,7 @@ from robustht.engine import (
 )
 from robustht.model import REJECT, AttackMode, AttackSpec, HypothesisModel, TwoLevelProfile
 from robustht.numerics import q_function
-from robustht.rng import BLOCK_SIZE, block_plan, noise_block
+from robustht.rng import BLOCK_SIZE, block_plan, noise_block, sum_over_blocks
 
 
 class AlwaysRight:
@@ -70,6 +72,55 @@ class TestNoiseStreams:
         full = noise_block(5, 0, 100, 3)
         part = noise_block(5, 0, 40, 3)
         np.testing.assert_array_equal(part, full[:40])
+
+    def test_sum_over_blocks_does_not_depend_on_threads(self):
+        # float sums expose any change in the order the blocks are added
+        def count(b, rows):
+            z = noise_block(3, b, rows, 2)
+            return np.array([z.sum(), (z * z).sum(), np.count_nonzero(z > 1.0), rows])
+
+        trials = 5 * BLOCK_SIZE + 7
+        one = sum_over_blocks(trials, count)
+        assert one[3] == trials
+        for threads in (2, 3):
+            assert sum_over_blocks(trials, count, threads).tobytes() == one.tobytes()
+
+    def test_sum_over_blocks_one_thread_runs_blocks_in_order_one_at_a_time(self):
+        events = []
+
+        def count(b, rows):
+            events.append(("count", b, rows))
+            part = np.array([rows])
+            weakref.finalize(part, events.append, ("freed", b, rows))
+            return part
+
+        assert sum_over_blocks(2 * BLOCK_SIZE + 3, count).tolist() == [2 * BLOCK_SIZE + 3]
+        # each block's part is gone before the next block is counted
+        assert events == [(kind, b, rows) for b, rows in enumerate([BLOCK_SIZE, BLOCK_SIZE, 3])
+                          for kind in ("count", "freed")]
+
+    def test_every_monte_carlo_path_draws_through_its_module(self, monkeypatch):
+        # bench/tracing.py counts draws through these names, so each path must use them
+        draws = collections.defaultdict(list)
+
+        def recorder(module, real):
+            return lambda *args: draws[module.__name__].append(args) or real(*args)
+
+        for module in (robustht.engine, robustht.attacks, robustht.analysis):
+            monkeypatch.setattr(module, "noise_block", recorder(module, module.noise_block))
+        trials = BLOCK_SIZE + 5
+        run_experiment(kappa_sweep_config(trials=trials, seed=5), threads=2)
+        model = ternary_2d_model()
+        brute_force_attack_oracle(model, build_classifier(ClassifierKind.GLRT, model, 1.0), 0,
+                                  eps=1.0, grid_points_per_axis=3, trials=trials, seed=6,
+                                  threads=2)
+        moment_study([0.5, 1.5], eps=1.0, kappa=0.5, sigma=1.0, trials=trials, seed=7)
+        blocks = [(0, BLOCK_SIZE), (1, 5)]
+        assert {name: sorted(calls) for name, calls in draws.items()} == {
+            "robustht.engine": [(5, b, rows, 20) for b, rows in blocks],
+            "robustht.attacks": [(6, b, rows, 2) for b, rows in blocks],
+            "robustht.analysis": [(seed, b, rows, 1) for seed in (7, 8) for b, rows in blocks],
+        }
 
 
 class TestMonteCarloError:
@@ -207,8 +258,8 @@ class TestCountBlockTiles:
     SIGMA = 0.9
 
     @staticmethod
-    def one_shot(model, classifier, spec, j, z, sigma) -> TrialCounts:
-        """One cell's counts from whole-block decide_batch calls, with nothing shared."""
+    def one_shot(model, classifier, spec, j, z, sigma) -> tuple[int, int]:
+        """One cell's (errors, rejects) from whole-block decide_batch calls, nothing shared."""
         base = sigma * z + model.means[j]
         if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
             labels = classifier.decide_batch(base)
@@ -224,7 +275,7 @@ class TestCountBlockTiles:
             [(rival, e)] = robustht.engine._attack_plan(model, classifier, spec, j).items()
             assert rival == -1
             labels = classifier.decide_batch(base + e)
-        return TrialCounts(int((labels != j).sum()), int((labels == REJECT).sum()), z.shape[0])
+        return int((labels != j).sum()), int((labels == REJECT).sum())
 
     @classmethod
     @functools.cache
@@ -254,9 +305,12 @@ class TestCountBlockTiles:
         cells, expected = self.case(dim, kind)
         for j, counts in enumerate(expected):
             tallied = robustht.engine._monte_carlo_cells(cells, j, self.ROWS, 11, 1)
-            for cell, (error, _, reject), want in zip(cells, tallied, counts):
-                assert (error, reject) == (want.error_rate, want.reject_rate), (j, cell[2])
-                assert want.errors > 0
+            for cell, (error, ci, reject), (errors, rejects) in zip(cells, tallied, counts):
+                assert (error, reject) == (errors / self.ROWS, rejects / self.ROWS), (j, cell[2])
+                assert errors > 0
+                # the Wald half-width of a class-conditional cell
+                assert ci == pytest.approx(
+                    1.959963984540054 * math.sqrt(error * (1 - error) / self.ROWS), rel=1e-12)
             # a lone fixed cell adds its attack in place
             agnostic = cells[2]
             assert agnostic[2].strength == 0.2
@@ -375,18 +429,6 @@ class TestSharedDecisions:
             values = {(r["error"], r["reject_rate"]) for r in rows if r["classifier"] == kind}
             assert len(values) == 1, kind
             assert next(iter(values))[0] > 0
-
-
-class TestTrialCounts:
-    def test_merge_and_rates(self):
-        a = TrialCounts(errors=10, rejects=2, trials=100)
-        a.merge(TrialCounts(errors=5, rejects=1, trials=100))
-        assert a.errors == 15
-        assert a.error_rate == 0.075
-        assert a.reject_rate == 0.015
-        p = 0.075
-        expect = 1.959963984540054 * math.sqrt(p * (1 - p) / 200)
-        assert a.ci_halfwidth() == pytest.approx(expect, rel=1e-12)
 
 
 def kappa_sweep_config(trials=20_000, seed=5, **overrides):
