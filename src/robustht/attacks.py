@@ -19,6 +19,7 @@ from .classifiers import (
     GlrtClassifier,
     MinDistanceClassifier,
     MinimaxLinearClassifier,
+    _soft_threshold_in_place,
     per_coordinate_cost_difference,
 )
 from .model import HypothesisModel, check_eps, pairwise_half_difference
@@ -407,7 +408,8 @@ def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
 
     tables[k][i] holds the decision kernel's squared residual of coordinate
     i under class k for every value on axis i and every noise row, built
-    with the kernel's elementwise steps (`classifiers._class_costs`). A
+    with the kernel's elementwise steps (`classifiers._class_costs`, whose
+    soft threshold `_soft_threshold_in_place` these tables share). A
     class's cost at a grid point adds its d entries in the order that
     einsum("nd,nd->n") adds them here (t0, t0 + t1, (t0 + t2) + t1), so it
     equals the kernel's cost bit for bit. Besides the tables, one
@@ -422,9 +424,7 @@ def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
             t = axis[:, None] + base[None, :, i]
             t -= mu[i]
             if eps is not None:
-                np.abs(t, out=t)
-                t -= eps
-                np.maximum(t, 0.0, out=t)
+                _soft_threshold_in_place(t, eps)
             t *= t
             per_axis.append(t)
         tables.append(per_axis)

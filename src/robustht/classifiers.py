@@ -88,6 +88,18 @@ def _as_batch(x) -> np.ndarray:
 _CHUNK_ELEMENTS = 1 << 16
 
 
+def _soft_threshold_in_place(work: np.ndarray, eps: float) -> None:
+    """Overwrite work with g_eps(work) = max(0, |work| - eps), the GLRT's residual.
+
+    The one definition of these elementwise steps: the decision kernel and
+    the grid oracle's cost tables both apply them, so their costs agree
+    bit for bit.
+    """
+    np.abs(work, out=work)
+    work -= eps
+    np.maximum(work, 0.0, out=work)
+
+
 def _class_costs(x: np.ndarray, means: np.ndarray, eps: float | None):
     """Yield, for each row of means, the cost of every row of x under that class.
 
@@ -101,9 +113,7 @@ def _class_costs(x: np.ndarray, means: np.ndarray, eps: float | None):
     for mu in means:
         np.subtract(x, mu, out=work)
         if eps is not None:
-            np.abs(work, out=work)
-            work -= eps
-            np.maximum(work, 0.0, out=work)
+            _soft_threshold_in_place(work, eps)
         yield np.einsum("nd,nd->n", work, work, out=cost)
 
 

@@ -3,6 +3,10 @@ sigma-search and built-in figure reproduction.
 
 Exit codes: 0 success, 1 configuration/validation failure, 2 runtime
 failure. Failures also emit one machine-readable JSON line on stderr.
+
+This module writes outputs but defines none of their formats: sweep rows
+and the number format come from `engine`, model and profile JSON from
+`model`, and the moment-table columns from `analysis`.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from .analysis import (
     METHOD_CLT_EXACT,
     METHOD_MONTE_CARLO,
     METHOD_Q_OF_SNR,
+    MOMENT_COLUMNS,
     _clt_error_from_moments,
     clt_error,
     cost_difference_moments,
@@ -33,12 +38,14 @@ from .attacks import brute_force_attack_oracle, nn_class_glrt, nn_class_min_dist
 from .classifiers import ClassifierKind, build_classifier
 from .engine import (
     CSV_HEADER,
+    SWEEP_KAPPA,
     ConfigError,
     ExperimentConfig,
+    _fmt,
     format_row,
-    model_from_dict,
     run_experiment,
     run_experiments,
+    sweep_row,
 )
 from .model import AttackMode, HypothesisModel, TwoLevelProfile, check_eps
 
@@ -198,7 +205,7 @@ def _write_sidecar(out: Path, metadata: dict) -> None:
 def _load_model(spec: str) -> HypothesisModel:
     path = Path(spec)
     if path.exists():
-        return model_from_dict(json.loads(path.read_text()))
+        return HypothesisModel.from_dict(json.loads(path.read_text()))
     return configs.builtin_model(spec)
 
 
@@ -234,10 +241,13 @@ def _cmd_predict(args) -> int:
             raise ConfigError(f"kappa: must be finite and >= 0, got {kappa}")
 
     def run(sink):
+        def row(kappa, kind, error, method):
+            sink(sweep_row(SWEEP_KAPPA, kappa, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC,
+                           kappa, error, method, args.seed))
+
         for kappa in args.kappa:
             snr_mm = snr_minimax(args.d, args.p, args.a, kappa / args.eps, args.eps, args.sigma)
-            sink(_predict_row(kappa, ClassifierKind.MINIMAX_LINEAR,
-                              error_from_snr(snr_mm), METHOD_Q_OF_SNR, args.seed))
+            row(kappa, ClassifierKind.MINIMAX_LINEAR, error_from_snr(snr_mm), METHOD_Q_OF_SNR)
             if 0 <= kappa <= args.eps:
                 # one moment pair per kappa serves the CLT and the q-of-snr rows;
                 # the levels in ascending order, as clt_error sums them
@@ -247,34 +257,16 @@ def _cmd_predict(args) -> int:
                     (mb, ma), (args.d - profile.num_strong, profile.num_strong), METHOD_CLT_EXACT
                 )
                 lower = clt_error(model, args.eps, kappa, use_lower_bound=True)
-                sink(_predict_row(kappa, ClassifierKind.GLRT, exact.value,
-                                  exact.method, args.seed))
-                sink(_predict_row(kappa, ClassifierKind.GLRT, lower.value,
-                                  lower.method, args.seed))
-                sink(_predict_row(kappa, ClassifierKind.GLRT,
-                                  error_from_snr(snr_glrt(args.d, args.p, ma, mb))
-                                  if ma.mean * args.p + mb.mean * (1 - args.p) >= 0 else 0.5,
-                                  METHOD_Q_OF_SNR, args.seed))
-        return {"profile": {"d": args.d, "p": args.p, "a": args.a, "b": args.b,
-                            "eps": args.eps}, "sigma": args.sigma, "seed": args.seed}
+                row(kappa, ClassifierKind.GLRT, exact.value, exact.method)
+                row(kappa, ClassifierKind.GLRT, lower.value, lower.method)
+                row(kappa, ClassifierKind.GLRT,
+                    error_from_snr(snr_glrt(args.d, args.p, ma, mb))
+                    if ma.mean * args.p + mb.mean * (1 - args.p) >= 0 else 0.5,
+                    METHOD_Q_OF_SNR)
+        return {"profile": profile.to_dict(), "sigma": args.sigma, "seed": args.seed}
 
     _write_rows(args, CSV_HEADER, format_row, run)
     return _EXIT_OK
-
-
-def _predict_row(kappa, kind, error, method, seed) -> dict:
-    return {
-        "sweep_axis": "kappa",
-        "sweep_value": kappa,
-        "classifier": kind.value,
-        "attack_mode": AttackMode.NOISE_AGNOSTIC_HEURISTIC.value,
-        "kappa": kappa,
-        "error": float(error),
-        "ci": None,
-        "reject_rate": None,
-        "method": method,
-        "seed": seed,
-    }
 
 
 def _cmd_surface(args) -> int:
@@ -303,18 +295,14 @@ def _write_surface(surface, model, args) -> None:
     _write_rows(
         args,
         ",".join(f"e{i + 1}" for i in range(model.dim)) + ",error",
-        lambda row: ",".join(format(v, ".10g") for v in [*row["attack"], row["error"]]),
+        lambda row: ",".join(map(_fmt, [*row["attack"], row["error"]])),
         run,
     )
 
 
 def _surface_metadata(surface, model) -> dict:
     return {
-        "model": {
-            "means": model.means.tolist(),
-            "sigma": model.sigma,
-            "priors": model.priors.tolist(),
-        },
+        "model": model.to_dict(),
         "eps": surface.eps,
         "true_class": surface.true_class,
         "trials": surface.trials,
@@ -332,14 +320,10 @@ def _cmd_nn_class(args) -> int:
     lines = ["classifier,true_class,nn_class,score,degenerate"]
     for j in range(model.num_classes):
         sel = nn_class_min_distance(model, j, kappa)
-        lines.append(
-            f"min-distance,{j},{sel.target},{format(sel.scores[sel.target], '.10g')},false"
-        )
+        lines.append(f"min-distance,{j},{sel.target},{_fmt(sel.scores[sel.target])},false")
         sel = nn_class_glrt(model, j, args.eps, kappa)
-        lines.append(
-            f"glrt,{j},{sel.target},{format(sel.scores[sel.target], '.10g')},"
-            f"{'true' if sel.degenerate else 'false'}"
-        )
+        lines.append(f"glrt,{j},{sel.target},{_fmt(sel.scores[sel.target])},"
+                     f"{'true' if sel.degenerate else 'false'}")
     with _open_out(args) as fh:
         fh.write("\n".join(lines) + "\n")
     return _EXIT_OK
@@ -363,7 +347,7 @@ def _cmd_reproduce(args) -> int:
     recipe = configs.figure_recipe(args.figure, trials=args.trials, seed=args.seed)
     if isinstance(recipe, configs.MomentStudyRecipe):
         rows = moment_study(recipe.mus, recipe.eps, recipe.kappa, recipe.sigma,
-                            trials=recipe.trials, seed=recipe.seed)
+                            trials=recipe.trials, seed=recipe.seed, threads=args.threads)
         _write_moment_rows(rows, recipe, args)
         return _EXIT_OK
     if isinstance(recipe, configs.SurfaceRecipe):
@@ -384,9 +368,6 @@ def _cmd_reproduce(args) -> int:
 
 
 def _write_moment_rows(rows, recipe, args) -> None:
-    header = ("mu,c_mean_exact,c_var_exact,c_mean_mc,c_var_mc,"
-              "c_mean_se,c_var_se,y_mean,y_var")
-
     def run(sink):
         for row in rows:
             sink(row)
@@ -395,11 +376,7 @@ def _write_moment_rows(rows, recipe, args) -> None:
             "trials": recipe.trials, "seed": recipe.seed,
         }
 
-    _write_rows(
-        args, header,
-        lambda row: ",".join(format(row[k], ".10g") for k in header.split(",")),
-        run,
-    )
+    _write_rows(args, ",".join(MOMENT_COLUMNS), lambda row: format_row(row, MOMENT_COLUMNS), run)
 
 
 if __name__ == "__main__":

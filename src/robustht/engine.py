@@ -14,6 +14,10 @@ Each cell's attack is resolved once to replays (`_attack_plan`). Cells that
 see the same observations (same model, classifier, true class and sigma)
 decide each of their distinct attacks once per row tile, and every cell
 takes its labels from its replays by one rule, `attacks.noise_aware_labels`.
+
+This module also owns the sweep row: COLUMNS names its fields, `sweep_row`
+builds one (for sweeps and for the CLI's `predict`), and `format_row` with
+`_fmt`, the one number formatter of every CSV the CLI writes, prints it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ import hashlib
 import itertools
 import json
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,24 +46,29 @@ from .model import (
     ConfigError,
     HypothesisModel,
     TwoLevelProfile,
+    _integer,
+    _number,
     check_eps,
 )
 from .rng import noise_block, sum_over_blocks
 
 __all__ = [
+    "COLUMNS",
     "CSV_HEADER",
     "ConfigError",
     "ExperimentConfig",
     "ExperimentResult",
-    "model_from_dict",
+    "format_row",
     "monte_carlo_error",
     "run_experiment",
     "run_experiments",
+    "sweep_row",
 ]
 
-CSV_HEADER = (
-    "sweep_axis,sweep_value,classifier,attack_mode,kappa,error,ci,reject_rate,method,seed"
-)
+#: The fields of a sweep row, in CSV column order.
+COLUMNS = ("sweep_axis", "sweep_value", "classifier", "attack_mode", "kappa",
+           "error", "ci", "reject_rate", "method", "seed")
+CSV_HEADER = ",".join(COLUMNS)
 
 _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 
@@ -318,14 +326,9 @@ class ExperimentConfig:
             "seed": self.seed,
         }
         if self.model is not None:
-            d["model"] = {
-                "means": self.model.means.tolist(),
-                "sigma": self.model.sigma,
-                "priors": self.model.priors.tolist(),
-            }
+            d["model"] = self.model.to_dict()
         if self.profile is not None:
-            p = self.profile
-            d["profile"] = {"d": p.d, "p": p.p, "a": p.a, "b": p.b, "eps": p.eps}
+            d["profile"] = self.profile.to_dict()
         if self.sigma is not None:
             d["sigma"] = self.sigma
         if any(k is not None for k in self.kappas):
@@ -343,7 +346,64 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(raw: dict) -> "ExperimentConfig":
-        return _config_from_dict(raw)
+        """A validated config from its JSON object; errors name the field."""
+        if not isinstance(raw, dict):
+            raise ConfigError("config: expected a JSON object")
+        known = {
+            "model", "profile", "sigma", "eps", "classifiers", "attack_modes",
+            "kappas", "sweep", "trials", "seed", "true_class", "target_error",
+            "calibration_method",
+        }
+        unknown = set(raw) - known
+        if unknown:
+            raise ConfigError(f"config: unknown fields {sorted(unknown)}")
+
+        def need(name):
+            if name not in raw:
+                raise ConfigError(f"{name}: required field is missing")
+            return raw[name]
+
+        model = HypothesisModel.from_dict(raw["model"]) if "model" in raw else None
+        profile = TwoLevelProfile.from_dict(raw["profile"]) if "profile" in raw else None
+        try:
+            classifiers = [ClassifierKind(c) for c in need("classifiers")]
+        except ValueError as exc:
+            raise ConfigError(f"classifiers: {exc}") from exc
+        try:
+            modes = [AttackMode(m) for m in raw.get("attack_modes", ["agnostic"])]
+        except ValueError as exc:
+            raise ConfigError(f"attack_modes: {exc}") from exc
+
+        kappas = raw.get("kappas", [None])
+        if not isinstance(kappas, list):
+            raise ConfigError(f"kappas: expected a list, got {kappas!r}")
+
+        sweep = need("sweep")
+        if not isinstance(sweep, dict) or "axis" not in sweep or "values" not in sweep:
+            raise ConfigError("sweep: expected an object with 'axis' and 'values'")
+        if not isinstance(sweep["values"], list):
+            raise ConfigError(f"sweep.values: expected a list, got {sweep['values']!r}")
+
+        config = ExperimentConfig(
+            eps=_number("eps", need("eps")),
+            classifiers=classifiers,
+            attack_modes=modes,
+            sweep_axis=str(sweep["axis"]),
+            sweep_values=[_number("sweep.values", v) for v in sweep["values"]],
+            trials=_integer("trials", raw.get("trials", 100_000)),
+            seed=_integer("seed", raw.get("seed", 0)),
+            model=model,
+            profile=profile,
+            sigma=_number("sigma", raw["sigma"]) if "sigma" in raw else None,
+            kappas=kappas,
+            true_class=(_integer("true_class", raw["true_class"])
+                        if raw.get("true_class") is not None else None),
+            target_error=(_number("target_error", raw["target_error"])
+                          if "target_error" in raw else None),
+            calibration_method=str(raw.get("calibration_method", METHOD_CLT_EXACT)),
+        )
+        config.validate()
+        return config
 
 
 @dataclass
@@ -355,38 +415,22 @@ class ExperimentResult:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return ""
+    """One value of a CSV row: floats to 10 significant digits, None empty."""
     if isinstance(value, float):
         return format(value, ".10g")
-    return str(value)
+    return "" if value is None else str(value)
 
 
-def format_row(row: dict) -> str:
-    return ",".join(
-        _fmt(row[key])
-        for key in (
-            "sweep_axis", "sweep_value", "classifier", "attack_mode", "kappa",
-            "error", "ci", "reject_rate", "method", "seed",
-        )
-    )
+def format_row(row: dict, columns=COLUMNS) -> str:
+    """The CSV line of a row dict, its values in the order of columns."""
+    return ",".join(_fmt(row[key]) for key in columns)
 
 
-def _make_row(config, sweep_value, kind, mode, kappa, **fields) -> dict:
-    row = {
-        "sweep_axis": config.sweep_axis,
-        "sweep_value": sweep_value,
-        "classifier": kind.value,
-        "attack_mode": mode.value,
-        "kappa": kappa,
-        "error": None,
-        "ci": None,
-        "reject_rate": None,
-        "method": METHOD_MONTE_CARLO,
-        "seed": config.seed,
-    }
-    row.update(fields)
-    return row
+def sweep_row(axis, value, kind, mode, kappa, error, method, seed,
+              ci=None, reject_rate=None) -> dict:
+    """A row of COLUMNS; ci and reject_rate stay None where no Monte Carlo count backs them."""
+    return dict(zip(COLUMNS, (axis, value, kind.value, mode.value, kappa, float(error),
+                              ci, reject_rate, method, seed)))
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1, row_sink=None) -> ExperimentResult:
@@ -539,112 +583,14 @@ def _group_rows(config, model, cells, estimates):
     estimated = zip(cells, estimates)
     for (value, kind), block in itertools.groupby(estimated, key=lambda pair: pair[0][:2]):
         for (_, _, mode, kappa), (err, ci, rej) in block:
-            yield _make_row(
-                config, value, kind, mode, kappa,
-                error=err, ci=ci,
+            yield sweep_row(
+                config.sweep_axis, value, kind, mode, kappa, err, METHOD_MONTE_CARLO,
+                config.seed, ci=ci,
                 reject_rate=rej if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR else None,
             )
         if config.sweep_axis == SWEEP_DIMENSION and kind is ClassifierKind.GLRT:
             [kappa] = config.resolved_kappas()
-            yield _make_row(
-                config, value, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC, kappa,
-                error=clt_error(model, config.eps, kappa).value, method=METHOD_CLT_EXACT,
+            yield sweep_row(
+                config.sweep_axis, value, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC, kappa,
+                clt_error(model, config.eps, kappa).value, METHOD_CLT_EXACT, config.seed,
             )
-
-
-def model_from_dict(raw: dict) -> HypothesisModel:
-    """Model from its JSON object {"means", "sigma", "priors"?}; errors name `model`."""
-    try:
-        return HypothesisModel(
-            means=np.asarray(raw["means"], dtype=float),
-            sigma=float(raw["sigma"]),
-            priors=np.asarray(raw["priors"], dtype=float) if "priors" in raw else None,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
-
-
-def _number(name: str, value) -> float:
-    """A JSON number as a float; anything else is a ConfigError naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{name}: expected a number, got {value!r}")
-    return float(value)
-
-
-def _integer(name: str, value) -> int:
-    """A JSON number with no fractional part (2 or 2.0, not 2.7) as an int."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ConfigError(f"{name}: expected an integer, got {value!r}")
-
-
-def _config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config: expected a JSON object")
-    known = {
-        "model", "profile", "sigma", "eps", "classifiers", "attack_modes",
-        "kappas", "sweep", "trials", "seed", "true_class", "target_error",
-        "calibration_method",
-    }
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"config: unknown fields {sorted(unknown)}")
-
-    def need(name):
-        if name not in raw:
-            raise ConfigError(f"{name}: required field is missing")
-        return raw[name]
-
-    model = model_from_dict(raw["model"]) if "model" in raw else None
-    profile = None
-    if "profile" in raw:
-        p = raw["profile"]
-        try:
-            profile = TwoLevelProfile(
-                d=_integer("d", p["d"]), p=float(p["p"]), a=float(p["a"]),
-                b=float(p["b"]), eps=float(p["eps"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"profile: {exc}") from exc
-
-    try:
-        classifiers = [ClassifierKind(c) for c in need("classifiers")]
-    except ValueError as exc:
-        raise ConfigError(f"classifiers: {exc}") from exc
-    try:
-        modes = [AttackMode(m) for m in raw.get("attack_modes", ["agnostic"])]
-    except ValueError as exc:
-        raise ConfigError(f"attack_modes: {exc}") from exc
-
-    kappas = raw.get("kappas", [None])
-    if not isinstance(kappas, list):
-        raise ConfigError(f"kappas: expected a list, got {kappas!r}")
-
-    sweep = need("sweep")
-    if not isinstance(sweep, dict) or "axis" not in sweep or "values" not in sweep:
-        raise ConfigError("sweep: expected an object with 'axis' and 'values'")
-    if not isinstance(sweep["values"], list):
-        raise ConfigError(f"sweep.values: expected a list, got {sweep['values']!r}")
-
-    config = ExperimentConfig(
-        eps=_number("eps", need("eps")),
-        classifiers=classifiers,
-        attack_modes=modes,
-        sweep_axis=str(sweep["axis"]),
-        sweep_values=[_number("sweep.values", v) for v in sweep["values"]],
-        trials=_integer("trials", raw.get("trials", 100_000)),
-        seed=_integer("seed", raw.get("seed", 0)),
-        model=model,
-        profile=profile,
-        sigma=_number("sigma", raw["sigma"]) if "sigma" in raw else None,
-        kappas=kappas,
-        true_class=(_integer("true_class", raw["true_class"])
-                    if raw.get("true_class") is not None else None),
-        target_error=(_number("target_error", raw["target_error"])
-                      if "target_error" in raw else None),
-        calibration_method=str(raw.get("calibration_method", METHOD_CLT_EXACT)),
-    )
-    config.validate()
-    return config

@@ -2,12 +2,16 @@
 
 The observation model is X = mu_k + e + N with N ~ Normal(0, sigma^2 I),
 where e is an l-infinity bounded perturbation chosen by the adversary.
+
+HypothesisModel and TwoLevelProfile own their JSON objects (`to_dict` and
+`from_dict`), which experiment configs, model files and output sidecars share.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +108,22 @@ class HypothesisModel:
         mu = np.asarray(mu, dtype=float)
         return HypothesisModel(means=np.stack([mu, -mu]), sigma=sigma)
 
+    def to_dict(self) -> dict:
+        """The model's JSON object {"means", "sigma", "priors"}, as `from_dict` reads it."""
+        return {"means": self.means.tolist(), "sigma": self.sigma, "priors": self.priors.tolist()}
+
+    @staticmethod
+    def from_dict(raw: dict) -> "HypothesisModel":
+        """Model from its JSON object, where "priors" is optional; errors name `model`."""
+        try:
+            return HypothesisModel(
+                means=np.asarray(raw["means"], dtype=float),
+                sigma=float(raw["sigma"]),
+                priors=np.asarray(raw["priors"], dtype=float) if "priors" in raw else None,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"model: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class TwoLevelProfile:
@@ -153,6 +173,21 @@ class TwoLevelProfile:
     def with_dimension(self, d: int) -> "TwoLevelProfile":
         return TwoLevelProfile(d=d, p=self.p, a=self.a, b=self.b, eps=self.eps)
 
+    def to_dict(self) -> dict:
+        """The profile's JSON object {"d", "p", "a", "b", "eps"}, as `from_dict` reads it."""
+        return {"d": self.d, "p": self.p, "a": self.a, "b": self.b, "eps": self.eps}
+
+    @staticmethod
+    def from_dict(raw: dict) -> "TwoLevelProfile":
+        """Profile from its JSON object, d an integer; errors name `profile`."""
+        try:
+            return TwoLevelProfile(
+                d=_integer("d", raw["d"]), p=float(raw["p"]), a=float(raw["a"]),
+                b=float(raw["b"]), eps=float(raw["eps"]),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"profile: {exc}") from exc
+
 
 @dataclass(frozen=True)
 class AttackSpec:
@@ -169,8 +204,8 @@ class AttackSpec:
     vector: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        if not 0 <= self.budget < math.inf:
+            raise ValueError(f"budget must be finite and >= 0, got {self.budget}")
         strength = self.budget if self.strength is None else float(self.strength)
         if not 0 <= strength <= self.budget + 1e-12:
             raise ValueError(
@@ -213,3 +248,19 @@ def check_eps(eps: float, kappa: float | None = None) -> float:
     if kappa is not None and not 0 <= kappa <= eps + 1e-12:
         raise ConfigError(f"kappa: must satisfy 0 <= kappa <= eps, got kappa={kappa}, eps={eps}")
     return float(eps)
+
+
+def _number(name: str, value) -> float:
+    """A JSON number as a float; anything else is a ConfigError naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name}: expected a number, got {value!r}")
+    return float(value)
+
+
+def _integer(name: str, value) -> int:
+    """A JSON number with no fractional part (2 or 2.0, not 2.7) as an int."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{name}: expected an integer, got {value!r}")

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import robustht.analysis
 import robustht.attacks
 import robustht.engine
 from robustht import cli
@@ -62,6 +63,22 @@ class TestReproduce:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("mu,c_mean_exact,c_var_exact")
         assert len(lines) == 1 + 13  # mu grid 0:0.25:3
+
+    def test_fig2_threads_reach_the_block_sum(self, tmp_path, monkeypatch):
+        # --threads runs each mean's blocks on a pool and leaves fig2's bytes alone
+        seen = []
+        real = robustht.analysis.sum_over_blocks
+        monkeypatch.setattr(robustht.analysis, "sum_over_blocks",
+                            lambda trials, count, threads=1:
+                            seen.append(threads) or real(trials, count, threads))
+        outs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"fig2-{threads}.csv"
+            assert cli.main(["reproduce", "fig2", "--trials", "20000", "--seed", "3",
+                             "--threads", threads, "--out", str(out)]) == 0
+            outs.append((out.read_bytes(), (tmp_path / f"{out.name}.meta.json").read_bytes()))
+        assert outs[0] == outs[1]
+        assert seen == [1] * 13 + [2] * 13  # one block sum per mean of the 13-point grid
 
     @pytest.mark.parametrize("figure", ["fig2", "fig8"])
     def test_zero_trials_rejected(self, tmp_path, figure):
@@ -296,6 +313,75 @@ def test_behaviour_contract_digests(tmp_path):
         f"{CONTRACT_NUMPY}, running {np.__version__}): {changed}")
 
 
+# Outputs that CONTRACT does not reach: configs and a model file read from disk,
+# JSON output and the nn-class table, which has no sidecar (None). Recorded like
+# CONTRACT, at --seed 7 where the subcommand takes one.
+FORMAT_CONTRACT_FILES = {
+    "model-config.json": {
+        "model": {"means": [[1.0, 0.0], [-0.5, 0.8], [-0.5, -0.8]], "sigma": 0.3,
+                  "priors": [0.5, 0.25, 0.25]},
+        "eps": 0.5,
+        "classifiers": ["glrt", "prl"],
+        "attack_modes": ["agnostic", "aware", "none"],
+        "sweep": {"axis": "kappa", "values": [0.0, 0.25, 0.5]},
+        "trials": 3000,
+    },
+    "profile-config.json": {
+        "profile": {"d": 20, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
+        "eps": 1.0,
+        "classifiers": ["glrt", "minimax"],
+        "attack_modes": ["agnostic"],
+        "sweep": {"axis": "dimension", "values": [20, 40]},
+        "target_error": 0.1,
+        "trials": 3000,
+    },
+    "binary-model.json": {"means": [[0.8, -0.3], [-0.8, 0.3]], "sigma": 0.5},
+}
+FORMAT_CONTRACT = {
+    ("simulate", "model-config.json"): (
+        "96be5df74da0fc4205f83aef07bd52005c12147735d5f906f0ddfd60702c8f31",
+        "c119bbccfcbff2cd00274dfbf5102930515dc3dd28d0dde92e27bc7ddc31b802"),
+    ("simulate", "model-config.json", "--format", "json"): (
+        "a7addba827c2f5ba9f0d7d5b0f10887222bcc8987105054e409d91ede7ff9afb",
+        "c119bbccfcbff2cd00274dfbf5102930515dc3dd28d0dde92e27bc7ddc31b802"),
+    ("simulate", "profile-config.json"): (
+        "5b257989ad9ef3d58445454599d48682d72c4738d9aeac8eaa4379b14411c973",
+        "4c59dbfaf28d29407243df2ec349566aa593d9c8dacb37ba9003f0d8ef2d358a"),
+    ("attack-surface", "--model", "binary-model.json", "--eps", "0.5", "--grid", "5",
+     "--trials", "2000"): (
+        "2b6d84ce91a782f93e2b08d44944b07ca5002b44aafc40b4ec32c0e90613e863",
+        "9baf59db6f1f97fb098e6e8694e29c1572d732f090c70f43ae9554c8879d0f4e"),
+    ("predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+     "--sigma", "1", "--kappa", "0,0.5,1,1.5", "--format", "json"): (
+        "201cc0e816681252a1a1e6d173fb751fc32abc799ec1be7bc92f4667fd3c9c90",
+        "bbdbd0bcb42b75fce3e1a6a6db82e77857bfae0e998594b4af604c4b4ce3da55"),
+    ("reproduce", "fig2", "--trials", "2000", "--format", "json"): (
+        "29c1a2bc5ecee9b70574034379c633940bce822dcf357730af454b8e7ea9583b",
+        "1e29ae5c75bbb19d8273394b25b4e7dd1825c8126bd3047eab1ebf2dd0d14939"),
+    ("nn-class", "--model", "ternary-2d", "--eps", "1", "--kappa", "0.5"): (
+        "1d5a178e10a3c590cce5509ab3de371bca957d9c14a1a7e45de6ae3be060cda2", None),
+}
+
+
+def test_format_contract_digests(tmp_path):
+    for name, raw in FORMAT_CONTRACT_FILES.items():
+        (tmp_path / name).write_text(json.dumps(raw))
+    changed = []
+    for i, (argv, expected) in enumerate(FORMAT_CONTRACT.items()):
+        out = tmp_path / f"{i}.out"
+        args = [str(tmp_path / a) if a in FORMAT_CONTRACT_FILES else a for a in argv]
+        seed = [] if argv[0] == "nn-class" else ["--seed", "7"]
+        assert cli.main([*args, *seed, "--out", str(out)]) == 0, argv
+        side = tmp_path / f"{i}.out.meta.json"
+        got = (hashlib.sha256(out.read_bytes()).hexdigest(),
+               hashlib.sha256(side.read_bytes()).hexdigest() if side.exists() else None)
+        if got != expected:
+            changed.append(" ".join(argv))
+    assert not changed, (
+        f"output bytes differ from the recorded contract (recorded with numpy "
+        f"{CONTRACT_NUMPY}, running {np.__version__}): {changed}")
+
+
 class TestSubcommandFlags:
     PROFILE = ["--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1"]
 
@@ -466,6 +552,21 @@ def test_model_file_without_sigma_names_model(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"] == "validation"
     assert err["message"].startswith("model:")
+
+
+@pytest.mark.parametrize("raw", [
+    [[0.0, 0.0], [2.5, 0.25]],
+    {"means": [[0.0, 0.0], [2.5]], "sigma": 0.5},
+    {"means": [[0.0, 0.0], [2.5, 0.25]], "sigma": "wide"},
+    {"means": [[0.0, 0.0], [2.5, 0.25]], "sigma": 0.5, "priors": [1.0]},
+], ids=["not-an-object", "ragged-means", "sigma-string", "priors-length"])
+@pytest.mark.parametrize("command", [["attack-surface", "--trials", "100"], ["nn-class"]],
+                         ids=["attack-surface", "nn-class"])
+def test_malformed_model_file_names_model(tmp_path, monkeypatch, capsys, raw, command):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(raw))
+    argv = [*command, "--model", str(path), "--eps", "1"]
+    assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith("model:")
 
 
 def test_dimension_sweep_with_other_eps_than_profile_rejected(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,13 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from robustht.model import (
     AttackMode,
     AttackSpec,
+    ConfigError,
     HypothesisModel,
     TwoLevelProfile,
     pairwise_half_difference,
@@ -58,6 +62,35 @@ class TestHypothesisModel:
             m.check_class(3)
         with pytest.raises(ValueError, match="out of range"):
             m.check_class(-1)
+
+
+class TestJsonObjects:
+    """to_dict and from_dict, through JSON text as a file or sidecar holds it."""
+
+    @pytest.mark.parametrize("priors", [None, [0.5, 0.25, 0.25]], ids=["uniform", "given"])
+    def test_model_round_trip(self, priors):
+        model = HypothesisModel(means=ternary().means, sigma=math.sqrt(0.1), priors=priors)
+        back = HypothesisModel.from_dict(json.loads(json.dumps(model.to_dict())))
+        np.testing.assert_array_equal(back.means, model.means)
+        np.testing.assert_array_equal(back.priors, model.priors)
+        assert back.sigma == model.sigma
+
+    def test_profile_round_trip(self):
+        profile = TwoLevelProfile(d=20, p=0.1, a=1.1, b=0.9, eps=1.0)
+        assert TwoLevelProfile.from_dict(json.loads(json.dumps(profile.to_dict()))) == profile
+
+    @pytest.mark.parametrize("raw", [{"means": [[0.0], [1.0]]}, [[0.0], [1.0]],
+                                     {"means": [[0.0], [1.0]], "sigma": -1.0}])
+    def test_model_errors_name_model(self, raw):
+        with pytest.raises(ConfigError, match="^model: "):
+            HypothesisModel.from_dict(raw)
+
+    @pytest.mark.parametrize("raw", [{"d": 20, "p": 0.1, "a": 1.1, "b": 0.9},
+                                     {"d": 20.5, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
+                                     {"d": 20, "p": 0.1, "a": 0.5, "b": 0.9, "eps": 1.0}])
+    def test_profile_errors_name_profile(self, raw):
+        with pytest.raises(ConfigError, match="^profile: "):
+            TwoLevelProfile.from_dict(raw)
 
 
 class TestTwoLevelProfile:
@@ -126,6 +159,15 @@ class TestAttackSpec:
         spec = AttackSpec(budget=0.5, mode=AttackMode.FIXED_VECTOR,
                           vector=np.array([0.5, -0.5]))
         assert np.max(np.abs(spec.vector)) <= 0.5
+
+    @pytest.mark.parametrize("budget", [math.inf, math.nan])
+    def test_non_finite_budget_rejected(self, budget):
+        # an infinite budget with an infinite fixed vector scored error 0 and 1 with ci 0
+        with pytest.raises(ValueError, match="^budget"):
+            AttackSpec(budget=budget, mode=AttackMode.FIXED_VECTOR,
+                       vector=np.array([math.inf, 0.0]))
+        with pytest.raises(ValueError, match="^budget"):
+            AttackSpec(budget=budget)
 
     def test_vector_requires_fixed_mode(self):
         with pytest.raises(ValueError):
