@@ -406,46 +406,106 @@ def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
 def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     """GLRT and minimum-distance errors from per-(class, coordinate) cost tables.
 
-    tables[k][i] holds the decision kernel's squared residual of coordinate
-    i under class k for every value on axis i and every noise row, built
-    with the kernel's elementwise steps (`classifiers._class_costs`, whose
-    soft threshold `_soft_threshold_in_place` these tables share). A
+    Each class has one table per axis holding the decision kernel's squared
+    residual of that coordinate for every value on the axis and every noise
+    row, built with the kernel's elementwise steps (`classifiers._class_costs`,
+    whose soft threshold `_soft_threshold_in_place` these tables share). A
     class's cost at a grid point adds its d entries in the order that
-    einsum("nd,nd->n") adds them here (t0, t0 + t1, (t0 + t2) + t1), so it
-    equals the kernel's cost bit for bit. Besides the tables, one
-    (M, last-axis points, rows) cost slab is live at a time.
+    einsum("nd,nd->n") adds them (t0, t0 + t1, (t0 + t2) + t1), so it
+    equals the kernel's cost bit for bit.
+
+    Most rows keep one label along the whole last axis. At each point of
+    the leading axes, a class's cost with its last-axis entry replaced by
+    that entry's row-wise min (max), added in the same order, is a lower
+    (upper) bound on its cost at every last-axis point, exactly and not
+    only up to rounding: IEEE round-to-nearest addition is monotone in each
+    operand, so a smaller operand never gives a larger rounded sum.
+    `_rows_to_sweep` settles the rows whose bounds decide the kernel's tie
+    rule at every last-axis point. Only the others are gathered into two
+    reused (rows, last-axis points) workspaces, class j's cost and one
+    rival's, and compared point by point.
     """
     eps = classifier.eps if isinstance(classifier, GlrtClassifier) else None
     base = model.means[j] + noise
+    # tables[i][k] holds class k's entries for axis i: (points, rows) on a
+    # leading axis, (rows, points) on the last, so a gathered row is contiguous
     tables = []
-    for mu in model.means:
-        per_axis = []
-        for i, axis in enumerate(axes):
-            t = axis[:, None] + base[None, :, i]
-            t -= mu[i]
-            if eps is not None:
-                _soft_threshold_in_place(t, eps)
-            t *= t
-            per_axis.append(t)
-        tables.append(per_axis)
+    for i, axis in enumerate(axes):
+        if i < len(axes) - 1:
+            t = np.add.outer(axis, base[:, i]) - model.means[:, i, None, None]
+        else:
+            t = np.add.outer(base[:, i], axis) - model.means[:, i, None, None]
+        if eps is not None:
+            _soft_threshold_in_place(t, eps)
+        t *= t
+        tables.append(t)
+    *leads, last = tables
 
     shape = tuple(len(a) for a in axes)
+    rows = noise.shape[0]
     counts = np.zeros(shape, dtype=np.int64)
-    slab = np.empty((model.num_classes, shape[-1], noise.shape[0]))
+    extremes = np.stack((last.min(axis=2), last.max(axis=2)))
+    bounds = np.empty_like(extremes)
+    # workspaces at their largest size; each lead point fills views of them
+    cols = np.empty((len(leads), rows, 1))
+    own, rival = np.empty((2, rows, shape[-1]))
+    wrong, beaten = np.empty((2, rows, shape[-1]), dtype=bool)
+    rivals = [k for k in range(model.num_classes) if k != j]
     for lead in np.ndindex(shape[:-1]):
-        for k, t in enumerate(tables):
-            if len(axes) == 1:
-                slab[k] = t[0]
-            elif len(axes) == 2:
-                np.add(t[0][lead[0]], t[1], out=slab[k])
-            else:
-                np.add(t[0][lead[0]], t[2], out=slab[k])
-                slab[k] += t[1][lead[1]]
-        # the kernel's lowest-index tie rule: an earlier class wins ties with
-        # class j, a later one must be strictly cheaper
-        wrong = (slab[:j] <= slab[j]).any(axis=0) | (slab[j + 1:] < slab[j]).any(axis=0)
-        counts[lead] = np.count_nonzero(wrong, axis=1)
+        terms = [t[:, a] for t, a in zip(leads, lead)]
+        _add_lead_terms(extremes, terms, bounds)
+        settled_wrong, idx = _rows_to_sweep(*bounds, j)
+        n = len(idx)
+        wrong[:n] = False
+        for k in [j, *rivals]:
+            cost = own[:n] if k == j else rival[:n]
+            np.take(last[k], idx, axis=0, out=cost, mode="clip")
+            for col, t in zip(cols, terms):
+                np.take(t[k], idx, out=col[:n, 0], mode="clip")
+            _add_lead_terms(cost, [col[:n] for col in cols], cost)
+            if k != j:
+                # the kernel's lowest-index tie rule: an earlier class wins ties
+                # with class j, a later one must be strictly cheaper
+                (np.less_equal if k < j else np.less)(cost, own[:n], out=beaten[:n])
+                wrong[:n] |= beaten[:n]
+        counts[lead] = settled_wrong + np.count_nonzero(wrong[:n], axis=0)
     return counts
+
+
+def _add_lead_terms(last, terms, out) -> None:
+    """Into out, the cost with last-axis entry last and leading entries terms.
+
+    The entries are added in the kernel's order, (t0 + last) + t1; with no
+    leading axis the cost is last itself. last may be out.
+    """
+    if not terms:
+        np.copyto(out, last)
+        return
+    np.add(terms[0], last, out=out)
+    for t in terms[1:]:
+        out += t
+
+
+def _rows_to_sweep(lower, upper, j):
+    """Split the rows by whether class j's label can change along the last axis.
+
+    lower[k] and upper[k] bound class k's cost over the last axis, row by
+    row. A rival whose upper bound beats class j's lower bound under the
+    kernel's tie rule wins at every point; a row where every rival's lower
+    bound loses to class j's upper bound is right at every point. Returns
+    the number of rows wrong at every point and the indices of the others
+    that are not right at every point, which must be compared point by point.
+    """
+    wrong = np.zeros(lower.shape[1], dtype=bool)
+    right = np.ones(lower.shape[1], dtype=bool)
+    for k in range(len(lower)):
+        if k < j:
+            wrong |= upper[k] <= lower[j]
+            right &= lower[k] > upper[j]
+        elif k > j:
+            wrong |= upper[k] < lower[j]
+            right &= lower[k] >= upper[j]
+    return np.count_nonzero(wrong), np.flatnonzero(~(wrong | right))
 
 
 def _generic_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:

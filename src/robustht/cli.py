@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -202,10 +203,18 @@ def _write_sidecar(out: Path, metadata: dict) -> None:
     side.write_text(json.dumps(metadata, indent=2, sort_keys=True) + "\n")
 
 
+def _read_json(path: Path, field: str):
+    """The JSON value in path; a file that is not valid JSON names field."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{field}: {path} is not valid JSON: {exc}") from None
+
+
 def _load_model(spec: str) -> HypothesisModel:
     path = Path(spec)
     if path.exists():
-        return HypothesisModel.from_dict(json.loads(path.read_text()))
+        return HypothesisModel.from_dict(_read_json(path, "model"))
     return configs.builtin_model(spec)
 
 
@@ -218,7 +227,7 @@ def _warn_nonuniform(model: HypothesisModel) -> None:
 
 
 def _cmd_simulate(args) -> int:
-    raw = json.loads(args.config.read_text())
+    raw = _read_json(args.config, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config: expected a JSON object")
     if args.seed is not None:
@@ -287,17 +296,28 @@ def _cmd_surface(args) -> int:
 
 
 def _write_surface(surface, model, args) -> None:
-    def run(sink):
-        for e, err in surface.iter_rows():
-            sink({"attack": e.tolist(), "error": err})
-        return _surface_metadata(surface, model)
+    """The surface as JSON rows through `_write_rows`, or as one CSV pass.
 
-    _write_rows(
-        args,
-        ",".join(f"e{i + 1}" for i in range(model.dim)) + ",error",
-        lambda row: ",".join(map(_fmt, [*row["attack"], row["error"]])),
-        run,
-    )
+    The CSV formats each axis value once and streams the rows into the
+    buffered file without a flush per row: the surface is complete before
+    its first row is written.
+    """
+    if args.format == "json":
+        def run(sink):
+            for e, err in surface.iter_rows():
+                sink({"attack": e.tolist(), "error": err})
+            return _surface_metadata(surface, model)
+
+        _write_rows(args, None, None, run)
+        return
+    axes = [[_fmt(v) for v in axis.tolist()] for axis in surface.axes]
+    errors = map(_fmt, surface.errors.ravel().tolist())
+    with _open_out(args) as fh:
+        fh.write(",".join(f"e{i + 1}" for i in range(model.dim)) + ",error\n")
+        fh.writelines(",".join((*attack, err)) + "\n"
+                      for attack, err in zip(itertools.product(*axes), errors))
+    if args.out is not None:
+        _write_sidecar(args.out, _surface_metadata(surface, model))
 
 
 def _surface_metadata(surface, model) -> dict:

@@ -397,6 +397,82 @@ class TestBruteForceOracle:
             ties += np.count_nonzero((costs == costs.min(axis=1)[:, None]).sum(axis=1) > 1)
         assert ties > 0
 
+    @pytest.mark.parametrize("data", ["lattice", "low-noise"])
+    @pytest.mark.parametrize("kind", ["glrt", "min-distance"])
+    @pytest.mark.parametrize("num_classes", [2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_pruned_rows_equal_decide_batch_replay(self, d, num_classes, kind, data,
+                                                   monkeypatch):
+        # rows settled by their last-axis cost bounds are counted without a
+        # point-by-point comparison, so every count must still match a replay.
+        # "lattice" draws noise and attacks on a grid of step 1/4: every cost is
+        # exact, so geometric ties are float ties and some land on a bound.
+        # "low-noise" settles every row, as wrong or as right: the GLRT's
+        # threshold zeroes the cost of each class within 1 of class j (ties the
+        # lower index wins), and the minimum-distance attacks all push past the
+        # midpoint toward the neighbour at +1 where there is one.
+        means = np.array([[0, 0, 0], [1, 0, 1], [-1, 1, 0], [2, -1, -1]], float)
+        m = HypothesisModel(means=means[:num_classes, :d].copy(), sigma=1.0)
+        draw = np.random.default_rng(d * 10 + num_classes)
+        if data == "lattice":
+            eps, noise = 0.5, 0.25 * draw.integers(-4, 5, size=(400, d)).astype(float)
+            axis = np.linspace(-eps, eps, 5)
+        else:
+            eps, noise = 1.5, 0.01 * draw.standard_normal((400, d))
+            axis = np.linspace(-0.2, 0.2, 5) if kind == "glrt" else np.linspace(0.6, 0.7, 5)
+        clf = GlrtClassifier(m, eps=eps) if kind == "glrt" else MinDistanceClassifier(m)
+        axes = [axis] * d
+        grid = np.array(list(itertools.product(*axes)))
+        real = robustht.attacks._rows_to_sweep
+        seen = {"rows": 0, "wrong": 0, "swept": 0, "on_bound": 0}
+
+        def record(lower, upper, j):
+            settled_wrong, idx = real(lower, upper, j)
+            seen["rows"] += lower.shape[1]
+            seen["wrong"] += settled_wrong
+            seen["swept"] += len(idx)
+            rivals = np.delete(np.arange(len(lower)), j)
+            seen["on_bound"] += np.count_nonzero((upper[rivals] == lower[j])
+                                                 | (lower[rivals] == upper[j]))
+            return settled_wrong, idx
+
+        monkeypatch.setattr(robustht.attacks, "_rows_to_sweep", record)
+        for j in range(num_classes):
+            counts = robustht.attacks._nearest_surface_counts(m, clf, j, axes, noise)
+            x = (grid[:, None, :] + (m.means[j] + noise)[None, :, :]).reshape(-1, d)
+            labels = clf.decide_batch(x).reshape(len(grid), -1)
+            expect = np.count_nonzero(labels != j, axis=1).reshape(counts.shape)
+            np.testing.assert_array_equal(counts, expect)
+        right = seen["rows"] - seen["wrong"] - seen["swept"]
+        if data == "lattice":
+            assert seen["on_bound"] > 0
+        else:
+            assert seen["wrong"] > 0 and right > 0
+            assert seen["swept"] <= 0.1 * seen["rows"]
+
+    def test_fig6_shape_sweeps_few_rows_point_by_point(self, monkeypatch):
+        # the pruning must do its work: on fig6's model, seed 5 and 2000 rows,
+        # 14.2% of (lead point, row) pairs need a point-by-point comparison
+        from robustht import configs
+
+        recipe = configs.figure_recipe("fig6", 2000, 5)
+        clf = GlrtClassifier(recipe.model, eps=recipe.eps)
+        real = robustht.attacks._rows_to_sweep
+        swept = []
+
+        def record(lower, upper, j):
+            settled_wrong, idx = real(lower, upper, j)
+            swept.append((lower.shape[1], len(idx)))
+            return settled_wrong, idx
+
+        monkeypatch.setattr(robustht.attacks, "_rows_to_sweep", record)
+        brute_force_attack_oracle(recipe.model, clf, recipe.true_class, recipe.eps,
+                                  grid_points_per_axis=recipe.grid_points_per_axis,
+                                  trials=recipe.trials, seed=recipe.seed)
+        assert recipe.true_class == 0 and len(swept) == recipe.grid_points_per_axis
+        assert all(rows == 2000 for rows, _ in swept)
+        assert sum(n for _, n in swept) <= 0.2 * 2000 * len(swept)
+
     def test_dimension_guard(self):
         m = HypothesisModel(means=np.zeros((2, 4)) + np.arange(4), sigma=1.0)
         clf = GlrtClassifier(m, eps=0.5)

@@ -336,6 +336,8 @@ FORMAT_CONTRACT_FILES = {
         "trials": 3000,
     },
     "binary-model.json": {"means": [[0.8, -0.3], [-0.8, 0.3]], "sigma": 0.5},
+    "ternary-3d-model.json": {"means": [[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [-0.5, -1.0, 0.5]],
+                              "sigma": 0.6},
 }
 FORMAT_CONTRACT = {
     ("simulate", "model-config.json"): (
@@ -351,6 +353,18 @@ FORMAT_CONTRACT = {
      "--trials", "2000"): (
         "2b6d84ce91a782f93e2b08d44944b07ca5002b44aafc40b4ec32c0e90613e863",
         "9baf59db6f1f97fb098e6e8694e29c1572d732f090c70f43ae9554c8879d0f4e"),
+    ("attack-surface", "--model", "ternary-2d", "--eps", "1", "--format", "json",
+     "--trials", "2000"): (
+        "b70550fc098ad106046160389b181612ccf3df26a33438901ae81100ad898fc9",
+        "556b9310c28ff8a5d136dae6403a462ff64ed2568699bc0cbd3191577a4e7683"),
+    # two noise blocks through the d = 3 nearest-class path
+    ("attack-surface", "--model", "ternary-3d-model.json", "--classifier", "min-distance",
+     "--eps", "0.5", "--grid", "7", "--trials", "9000"): (
+        "2b16523b25ba4d7f706abf97f048dabccba7ee686b7bd3bdfbe4e0bb183e9a65",
+        "d1114b73d2650636b2d0ab9bc3a718c6695670c57db6d4bed78ca7dbaec1fd0e"),
+    ("reproduce", "fig6", "--trials", "9000", "--threads", "2"): (
+        "49dfad8a9c36c5bd9ec04b913198427abe88c6207f2fbc7890e153af97d8e34d",
+        "b49ec65ecb35cb18cb42654c11dc0a512e299093fcf622f93bdc99796d94f88d"),
     ("predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
      "--sigma", "1", "--kappa", "0,0.5,1,1.5", "--format", "json"): (
         "201cc0e816681252a1a1e6d173fb751fc32abc799ec1be7bc92f4667fd3c9c90",
@@ -567,6 +581,18 @@ def test_malformed_model_file_names_model(tmp_path, monkeypatch, capsys, raw, co
     path.write_text(json.dumps(raw))
     argv = [*command, "--model", str(path), "--eps", "1"]
     assert _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv).startswith("model:")
+
+
+@pytest.mark.parametrize("command, field", [
+    (["nn-class", "--eps", "1", "--model"], "model"),
+    (["attack-surface", "--eps", "1", "--trials", "100", "--model"], "model"),
+    (["simulate"], "config"),
+], ids=["nn-class", "attack-surface", "simulate"])
+def test_invalid_json_file_names_field(tmp_path, monkeypatch, capsys, command, field):
+    path = tmp_path / "truncated.json"
+    path.write_text('{"means": [[0,0],[1,1]], "sigma": 0.5')
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, [*command, str(path)])
+    assert message.startswith(f"{field}:")
 
 
 def test_dimension_sweep_with_other_eps_than_profile_rejected(tmp_path, monkeypatch, capsys):
