@@ -77,7 +77,8 @@ class NNSelection:
 
 
 def _assert_budget(vector: np.ndarray, budget: float) -> np.ndarray:
-    if np.max(np.abs(vector), initial=0.0) > budget + _BUDGET_TOL:
+    # written so that a NaN in the attack or the budget fails too
+    if not np.max(np.abs(vector), initial=0.0) <= budget + _BUDGET_TOL:
         raise AssertionError("constructed attack exceeds its l-infinity budget")
     return vector
 
@@ -96,8 +97,8 @@ def binary_sign_attack(
     k = model.check_class(other_class)
     if j == k:
         raise ValueError(f"need two distinct classes, got j = k = {j}")
-    if strength < 0:
-        raise ValueError(f"attack strength must be >= 0, got {strength}")
+    if not 0 <= strength < np.inf:
+        raise ValueError(f"strength: must be finite and >= 0, got {strength}")
     # + 0.0 turns the -0.0 of a zero strength into +0.0: equal attacks, equal bytes
     e = -strength * np.sign(model.means[j] - model.means[k]) + 0.0
     return _assert_budget(e, strength)
@@ -241,7 +242,7 @@ def noise_aware_attack(
     j = model.check_class(true_class)
     base = model.means[j] + noise[None, :]
     replays = sign_replays(model, j, strength)
-    decided = [classifier.decide_batch(base + e) for e in replays.values()]
+    decided = classifier.decide_attacks(base, list(replays.values()))
     _, targets = noise_aware_labels(j, list(replays), decided)
     k = int(targets[0])
     return AttackResult(vector=replays[k], feasible=k >= 0, target_class=k if k >= 0 else None)
@@ -299,8 +300,8 @@ def brute_force_attack_oracle(
     models with cost- or statistic-separable rules take a per-coordinate
     fast path; the GLRT and minimum distance with more classes compare
     per-class costs summed from per-coordinate tables; everything else
-    (the pairwise robust linear rule) goes through the classifier's batch
-    decisions in grid chunks.
+    (the pairwise robust linear rule) decides every grid point at once
+    through `decide_attacks`, in spans of rows.
     """
     try:
         j = model.check_class(true_class)
@@ -510,14 +511,11 @@ def _rows_to_sweep(lower, upper, j):
 
 def _generic_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     grid = np.array(list(itertools.product(*axes)))
-    trials, d = noise.shape
     base = model.means[j] + noise
-
-    # keep each span's observation tensor near one decision workspace
-    chunk = max(1, _CHUNK_ELEMENTS // (trials * d))
-    parts = []
-    for lo in range(0, len(grid), chunk):
-        x = grid[lo:lo + chunk, None, :] + base[None, :, :]
-        labels = classifier.decide_batch(x.reshape(-1, d)).reshape(x.shape[0], trials)
-        parts.append((labels != j).sum(axis=1))
-    return np.concatenate(parts).reshape(tuple(len(a) for a in axes))
+    # spans of rows whose (grid points, rows) labels fill about one decision workspace
+    step = max(1, _CHUNK_ELEMENTS // len(grid))
+    counts = np.zeros(len(grid), dtype=np.int64)
+    for lo in range(0, len(base), step):
+        counts += np.count_nonzero(classifier.decide_attacks(base[lo:lo + step], grid) != j,
+                                   axis=1)
+    return counts.reshape(tuple(len(a) for a in axes))

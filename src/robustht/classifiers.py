@@ -1,17 +1,24 @@
 """The decision rules: minimum distance, GLRT, minimax linear, pairwise robust linear.
 
 All classifiers are immutable after construction and classification is pure,
-so instances can be shared freely across threads. Each exposes one decision
-call, `decide_batch`, which takes an (n, d) array of observations (or one
-d-vector) and returns n labels; the Monte Carlo engine, the noise-aware
-replay and the grid oracle all drive it. Ties always resolve to the lowest
-class index, which keeps golden tests deterministic and is measure-zero
-under continuous noise.
+so instances can be shared freely across threads. Each exposes two decision
+calls. `decide_batch` takes an (n, d) array of observations (or one
+d-vector) and returns n labels. `decide_attacks(x, attacks)` returns one
+row of labels per attack e, those of x + e; the Monte Carlo engine, the
+noise-aware replay and the generic grid oracle drive it. Each row is
+decided on its own. Its optional `work`, shaped like x, is where the GLRT
+builds each x + e; the other rules never build it. Ties always resolve to the lowest class index, which
+keeps golden tests deterministic and is measure-zero under continuous noise.
 
 Minimum distance and the GLRT share one decision kernel: it visits the M
 classes in turn with a single workspace of about 2^16 values (one row when
 d is larger) and keeps a running argmin, so beyond its input a call holds
-only that workspace and a few vectors with one entry per row, whatever M is.
+only that workspace and a few vectors with one entry per row and attack,
+whatever M is. The GLRT decides each x + e afresh. The other rules are
+linear in the attack and score every attack from one pass over x: the
+minimax and pairwise rules from s(x) + w.e, minimum distance from
+||x - mu_k||^2 - 2 e.mu_k. Every dot product goes through np.einsum, never
+BLAS, so no label depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -59,7 +66,16 @@ class LinearRule:
 
     def statistic(self, x) -> float | np.ndarray:
         x = np.asarray(x, dtype=float)
-        return x @ self.weight + self.offset
+        return np.einsum("...d,d->...", x, self.weight) + self.offset
+
+    def thresholds(self, attacks) -> np.ndarray:
+        """-w^T e of each attack e, as an (attacks, 1) column to compare with statistic(x).
+
+        s(x + e) = s(x) + w^T e, and a rounded sum has the sign of the exact
+        one, so s(x) > -w^T e exactly where s(x) + w^T e > 0, and likewise
+        for < and ==.
+        """
+        return -np.einsum("ad,d->a", _as_batch(attacks), self.weight)[:, None]
 
 
 def minimax_linear_rule(model: HypothesisModel, j: int, k: int, eps: float) -> LinearRule:
@@ -74,7 +90,7 @@ def minimax_linear_rule(model: HypothesisModel, j: int, k: int, eps: float) -> L
     half_diff = pairwise_half_difference(model, j, k)
     weight = np.sign(half_diff) * np.maximum(0.0, np.abs(half_diff) - eps)
     midpoint = (model.means[j] + model.means[k]) / 2.0
-    return LinearRule(weight=weight, offset=float(-weight @ midpoint))
+    return LinearRule(weight=weight, offset=float(-np.einsum("d,d->", weight, midpoint)))
 
 
 def _as_batch(x) -> np.ndarray:
@@ -117,22 +133,28 @@ def _class_costs(x: np.ndarray, means: np.ndarray, eps: float | None):
         yield np.einsum("nd,nd->n", work, work, out=cost)
 
 
-def _nearest_class(x, means: np.ndarray, eps: float | None) -> np.ndarray:
-    """Row-wise argmin of `_class_costs`; the lowest index wins ties.
+def _nearest_class(x, means: np.ndarray, eps: float | None, shifts=None) -> np.ndarray:
+    """Row-wise argmin of `_class_costs` minus shifts; the lowest index wins ties.
 
-    Rows go through in chunks of about _CHUNK_ELEMENTS, so the workspace
-    stays cache-sized whatever n is. Each row's cost is summed on its own,
-    so chunking does not change a single bit of it.
+    shifts, (M, attacks, 1), gives one row of labels per attack, class k's
+    cost lowered by shifts[k]; None gives one row, unshifted. Rows go
+    through in chunks of about _CHUNK_ELEMENTS, so the workspace stays
+    cache-sized whatever n is. Each row's cost is summed on its own, so
+    chunking does not change a single bit of it.
     """
     xb = _as_batch(x)
     n, d = xb.shape
-    labels = np.zeros(n, dtype=np.int64)
-    best = np.full(n, np.inf)
-    closer = np.empty(n, dtype=bool)
+    shape = (1 if shifts is None else shifts.shape[1], n)
+    labels = np.zeros(shape, dtype=np.int64)
+    best = np.full(shape, np.inf)
+    closer = np.empty(shape, dtype=bool)
+    shifted = None if shifts is None else np.empty(shape)
     step = max(1, _CHUNK_ELEMENTS // d)
     for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        for k, cost in enumerate(_class_costs(xb[rows], means, eps)):
+        rows = np.s_[:, lo:lo + step]
+        for k, cost in enumerate(_class_costs(xb[lo:lo + step], means, eps)):
+            if shifts is not None:
+                cost = np.subtract(cost, shifts[k], out=shifted[rows])
             np.less(cost, best[rows], out=closer[rows])
             np.copyto(labels[rows], k, where=closer[rows])
             np.copyto(best[rows], cost, where=closer[rows])
@@ -148,7 +170,13 @@ class MinDistanceClassifier:
         self.model = model
 
     def decide_batch(self, x) -> np.ndarray:
-        return _nearest_class(x, self.model.means, None)
+        return _nearest_class(x, self.model.means, None)[0]
+
+    def decide_attacks(self, x, attacks, work=None) -> np.ndarray:
+        # ||x + e - mu_k||^2 = ||x - mu_k||^2 - 2 e.mu_k + (2 e.x + ||e||^2),
+        # and the last term is the same for every class
+        shifts = 2.0 * np.einsum("ad,kd->ka", _as_batch(attacks), self.model.means)
+        return _nearest_class(x, self.model.means, None, shifts[:, :, None])
 
 
 class GlrtClassifier:
@@ -168,7 +196,17 @@ class GlrtClassifier:
         self.eps = check_eps(eps)
 
     def decide_batch(self, x) -> np.ndarray:
-        return _nearest_class(x, self.model.means, self.eps)
+        return _nearest_class(x, self.model.means, self.eps)[0]
+
+    def decide_attacks(self, x, attacks, work=None) -> np.ndarray:
+        """Labels of x + e for each attack, each decided by `decide_batch`.
+
+        work, shaped like x, receives each x + e; it may be x itself when
+        there is one attack.
+        """
+        x = _as_batch(x)
+        work = np.empty_like(x) if work is None else work
+        return np.stack([self.decide_batch(np.add(x, e, out=work)) for e in attacks])
 
 
 class MinimaxLinearClassifier:
@@ -188,9 +226,12 @@ class MinimaxLinearClassifier:
         self.rule = minimax_linear_rule(model, 0, 1, eps)
 
     def decide_batch(self, x) -> np.ndarray:
-        s = self.rule.statistic(_as_batch(x))
+        return self.decide_attacks(x, np.zeros((1, self.model.dim)))[0]
+
+    def decide_attacks(self, x, attacks, work=None) -> np.ndarray:
         # statistic > 0 decides class 0; a tie at exactly 0 also goes to 0
-        return (s < 0).astype(np.int64)
+        s = self.rule.statistic(_as_batch(x))
+        return (s < self.rule.thresholds(attacks)).astype(np.int64)
 
 
 class PairwiseRobustLinearClassifier:
@@ -213,17 +254,19 @@ class PairwiseRobustLinearClassifier:
         }
 
     def decide_batch(self, x) -> np.ndarray:
+        return self.decide_attacks(x, np.zeros((1, self.model.dim)))[0]
+
+    def decide_attacks(self, x, attacks, work=None) -> np.ndarray:
         xb = _as_batch(x)
-        m = self.model.num_classes
-        wins = np.ones((xb.shape[0], m), dtype=bool)
+        wins = np.ones((self.model.num_classes, len(attacks), xb.shape[0]), dtype=bool)
         for (j, k), rule in self.rules.items():
-            s = rule.statistic(xb)
-            wins[:, j] &= s > 0
-            wins[:, k] &= s < 0
-        labels = np.full(xb.shape[0], REJECT, dtype=np.int64)
-        winner_exists = wins.any(axis=1)
+            s, t = rule.statistic(xb), rule.thresholds(attacks)
+            wins[j] &= s > t
+            wins[k] &= s < t
+        labels = np.full(wins.shape[1:], REJECT, dtype=np.int64)
         # at most one class can win all of its tests
-        labels[winner_exists] = np.argmax(wins[winner_exists], axis=1)
+        for k, won in enumerate(wins):
+            np.copyto(labels, k, where=won)
         return labels
 
 

@@ -93,12 +93,13 @@ def _attack_plan(model, classifier, spec: AttackSpec, true_class: int) -> dict[i
     raise ValueError(f"unknown attack mode: {spec.mode}")
 
 
-def _decision_groups(tasks) -> list[tuple[list, list]]:
+def _decision_groups(tasks) -> list[tuple[list, np.ndarray]]:
     """(members, attacks) of each group of tasks that see the same observations.
 
     Those are tasks with the same model and classifier objects, true class
-    and sigma. attacks holds the group's distinct attack vectors; member
-    (task, rivals, picks) replays attacks[picks[i]] toward rivals[i].
+    and sigma. attacks holds the group's distinct attack vectors, one per
+    row; member (task, rivals, picks) replays attacks[picks[i]] toward
+    rivals[i].
     """
     groups: dict[tuple, tuple[list, dict]] = {}
     for t, (model, classifier, spec, j, sigma) in enumerate(tasks):
@@ -106,7 +107,8 @@ def _decision_groups(tasks) -> list[tuple[list, list]]:
         replays = _attack_plan(model, classifier, spec, j)
         picks = [attacks.setdefault(e.tobytes(), (len(attacks), e))[0] for e in replays.values()]
         members.append((t, list(replays), picks))
-    return [(members, [e for _, e in attacks.values()]) for members, attacks in groups.values()]
+    return [(members, np.array([e for _, e in attacks.values()]))
+            for members, attacks in groups.values()]
 
 
 def _tally_block(tasks, groups, z_block) -> np.ndarray:
@@ -114,11 +116,11 @@ def _tally_block(tasks, groups, z_block) -> np.ndarray:
 
     For each group of tasks that decide the same observations, mu_j +
     sigma * z is built one row tile of about _TILE_ELEMENTS values at a
-    time, in one reused buffer, and each of the group's distinct attacks
-    is decided once on it. Every task's labels then come from its replays
-    of those decisions through `noise_aware_labels`. Each row is built as
-    (sigma * z + mu_j) + e and decided on its own, so neither tiling nor
-    sharing changes a single label.
+    time, in one reused buffer, and one `decide_attacks` call decides each
+    of the group's distinct attacks once on it. Every task's labels then
+    come from its replays of those decisions through `noise_aware_labels`.
+    Each row is decided on its own, so neither tiling nor sharing changes
+    a single label.
     """
     rows, dim = z_block.shape
     step = max(1, _TILE_ELEMENTS // dim)
@@ -127,15 +129,14 @@ def _tally_block(tasks, groups, z_block) -> np.ndarray:
     counts = np.zeros((len(tasks), 2), dtype=np.int64)
     for members, attacks in groups:
         model, classifier, _, j, sigma = tasks[members[0][0]]
-        # a lone attack is added in place, which keeps one tile in cache (a
-        # dimension sweep's groups); several need the tile kept intact
+        # the GLRT adds a lone attack in place, which keeps one tile in cache
+        # (a dimension sweep's groups); several need the tile kept intact
         out = tile if len(attacks) == 1 else attacked
         for lo in range(0, rows, step):
             z = z_block[lo:lo + step]
             base = np.multiply(sigma, z, out=tile[:z.shape[0]])
             base += model.means[j]
-            decided = [classifier.decide_batch(np.add(base, e, out=out[:z.shape[0]]))
-                       for e in attacks]
+            decided = classifier.decide_attacks(base, attacks, work=out[:z.shape[0]])
             for t, rivals, picks in members:
                 labels, _ = noise_aware_labels(j, rivals, [decided[i] for i in picks])
                 counts[t, 0] += np.count_nonzero(labels != j)

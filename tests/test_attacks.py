@@ -12,6 +12,7 @@ from robustht.attacks import (
     nn_class_glrt,
     nn_class_min_distance,
     noise_aware_attack,
+    sign_replays,
 )
 from robustht.classifiers import (
     ClassifierKind,
@@ -68,6 +69,21 @@ class TestBinarySignAttack:
     def test_negative_strength_rejected(self):
         with pytest.raises(ValueError):
             binary_sign_attack(ternary_2d(), 0, 1, -0.1)
+
+    @pytest.mark.parametrize("strength", [np.nan, np.inf, -1.0])
+    def test_strength_not_finite_and_non_negative_is_named(self, strength):
+        m = ternary_2d()
+        clf = GlrtClassifier(m, eps=1.0)
+        for build in (lambda: binary_sign_attack(m, 0, 1, strength),
+                      lambda: sign_replays(m, 0, strength),
+                      lambda: noise_aware_attack(m, clf, np.zeros(2), 0, strength)):
+            with pytest.raises(ValueError, match="strength"):
+                build()
+
+    @pytest.mark.parametrize("vector, budget", [([np.nan, 0.0], 1.0), ([0.5, 0.0], np.nan)])
+    def test_budget_check_fails_on_nan(self, vector, budget):
+        with pytest.raises(AssertionError, match="budget"):
+            robustht.attacks._assert_budget(np.array(vector), budget)
 
 
 class TestNearestNeighborClasses:

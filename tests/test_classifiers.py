@@ -1,4 +1,5 @@
 import itertools
+import os
 import subprocess
 import sys
 import textwrap
@@ -8,16 +9,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from robustht.attacks import sign_replays
 from robustht.classifiers import (
     ClassifierKind,
     GlrtClassifier,
     MinDistanceClassifier,
     MinimaxLinearClassifier,
     PairwiseRobustLinearClassifier,
+    _nearest_class,
     build_classifier,
     minimax_linear_rule,
     per_coordinate_cost_difference,
 )
+from robustht.configs import ternary_20d_model
 from robustht.model import REJECT, HypothesisModel, TwoLevelProfile
 
 
@@ -183,6 +187,7 @@ class TestDecisionKernel:
             before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             for rule in rules:
                 rule.decide_batch(x)
+            rules[1].decide_attacks(x, rng.standard_normal((3, 10_000)))
             after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
             print((after - before) * 1024, x.nbytes)
         """)
@@ -308,6 +313,133 @@ class TestPairwiseRobustLinear:
         prl = PairwiseRobustLinearClassifier(m, eps=0.4)
         labels = prl.decide_batch(rng.normal(size=(2000, 3), scale=3.0))
         assert set(np.unique(labels)) <= {REJECT, 0, 1, 2, 3}
+
+
+def one_by_one(clf, x, attacks):
+    """The labels of x + e for each attack, one decide_batch call each."""
+    return np.array([clf.decide_batch(x + e) for e in attacks])
+
+
+def rule_for(kind, model, eps):
+    # the minimax rule is binary: it gets the first two classes
+    if kind is ClassifierKind.MINIMAX_LINEAR:
+        model = HypothesisModel(means=model.means[:2], sigma=model.sigma)
+    return build_classifier(kind, model, eps)
+
+
+class TestDecideAttacks:
+    """decide_attacks(x, attacks) labels every x + e as decide_batch(x + e) does."""
+
+    @pytest.mark.parametrize("kind", list(ClassifierKind))
+    def test_fig8_sign_attacks(self, kind):
+        clf = rule_for(kind, ternary_20d_model(), 1.0)
+        model = clf.model
+        rng = np.random.default_rng(80)
+        for j in range(model.num_classes):
+            x = model.means[j] + model.sigma * rng.standard_normal((3000, model.dim))
+            attacks = np.array([e for kappa in (0.0, 0.3, 0.7, 1.0)
+                                for e in sign_replays(model, j, kappa).values()])
+            np.testing.assert_array_equal(clf.decide_attacks(x, attacks),
+                                          one_by_one(clf, x, attacks))
+
+    @pytest.mark.parametrize("lattice", [False, True], ids=["continuous", "lattice"])
+    @pytest.mark.parametrize("kind", list(ClassifierKind))
+    def test_random_models(self, kind, lattice):
+        # on the lattice, means, eps, observations and attacks are multiples
+        # of 1/4, so every cost and statistic is exact: rows land on PRL
+        # boundaries and on exact ties, where both sides must agree too
+        rng = np.random.default_rng(81)
+        on_boundary = 0
+        for _ in range(40):
+            d, m = int(rng.integers(1, 21)), int(rng.integers(2, 6))
+            if lattice:
+                means = rng.integers(-4, 5, size=(m, d)) / 4.0
+                eps = int(rng.integers(0, 4)) / 4.0
+                x = rng.integers(-8, 9, size=(300, d)) / 4.0
+                attacks = rng.integers(-4, 5, size=(5, d)) / 4.0
+            else:
+                means = rng.normal(size=(m, d))
+                eps = float(rng.uniform(0.0, 1.0))
+                x = rng.normal(scale=1.5, size=(300, d))
+                attacks = rng.uniform(-1.0, 1.0, size=(5, d))
+            clf = rule_for(kind, HypothesisModel(means=means, sigma=1.0), eps)
+            labels = clf.decide_attacks(x, attacks)
+            np.testing.assert_array_equal(labels, one_by_one(clf, x, attacks))
+            if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR:
+                on_boundary += sum(np.count_nonzero(rule.statistic(x + e) == 0)
+                                   for rule in clf.rules.values() for e in attacks)
+        if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR and lattice:
+            assert on_boundary > 0
+
+    def test_prl_pair_with_zero_weight(self):
+        # |mu_0 - mu_1| / 2 <= eps on every coordinate: that pair's statistic is
+        # identically 0, so neither class 0 nor class 1 can ever win
+        model = HypothesisModel(means=np.array([[0.0, 0.0], [0.5, -0.5], [4.0, 4.0]]),
+                                sigma=1.0)
+        prl = PairwiseRobustLinearClassifier(model, eps=0.5)
+        assert not prl.rules[(0, 1)].weight.any()
+        rng = np.random.default_rng(83)
+        x = rng.normal(loc=2.0, scale=2.0, size=(500, 2))
+        attacks = rng.uniform(-0.5, 0.5, size=(4, 2))
+        labels = prl.decide_attacks(x, attacks)
+        np.testing.assert_array_equal(labels, one_by_one(prl, x, attacks))
+        assert set(np.unique(labels)) == {REJECT, 2}
+
+    def test_prl_boundary(self):
+        # w = (0.75, 0) and b = 0: a row lands on the boundary exactly when
+        # its first coordinate plus the attack's is 0
+        prl = PairwiseRobustLinearClassifier(binary([1.0, 0.0]), eps=0.25)
+        x = np.array([[-0.5, 3.0], [0.0, 3.0]])
+        attacks = np.array([[0.5, 0.0], [0.0, 1.0]])
+        expect = [[REJECT, 0], [1, REJECT]]
+        np.testing.assert_array_equal(prl.decide_attacks(x, attacks), expect)
+        np.testing.assert_array_equal(one_by_one(prl, x, attacks), expect)
+
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_min_distance_zero_attack_matches_kernel(self, classes):
+        # exact ties go to the lowest index, and every label is the kernel's
+        rng = np.random.default_rng(84)
+        shift = rng.integers(-4, 5, size=classes).astype(float)
+        means, ties, lower = midpoint_rows(classes, shift)
+        x = np.concatenate([ties, shift + rng.normal(scale=6.0, size=(5000, classes))])
+        clf = MinDistanceClassifier(HypothesisModel(means=means, sigma=1.0))
+        labels = clf.decide_attacks(x, np.zeros((1, classes)))
+        np.testing.assert_array_equal(labels[0, :len(ties)], lower)
+        assert labels.tobytes() == _nearest_class(x, means, None).tobytes()
+
+    def test_linear_labels_do_not_depend_on_the_blas_kernel(self):
+        # two OpenBLAS kernels round x @ w differently at d = 20 and 400
+        script = textwrap.dedent("""
+            import hashlib
+            import numpy as np
+            from robustht.classifiers import (
+                MinimaxLinearClassifier, PairwiseRobustLinearClassifier)
+            from robustht.model import HypothesisModel
+
+            digest = hashlib.sha256()
+            for d in (20, 400):
+                rng = np.random.default_rng(d)
+                model = HypothesisModel(means=rng.normal(size=(3, d)), sigma=1.0)
+                binary = HypothesisModel(means=model.means[:2], sigma=1.0)
+                x = model.means[0] + rng.standard_normal((3276, d))
+                attacks = rng.uniform(-0.2, 0.2, size=(4, d))
+                minimax = MinimaxLinearClassifier(binary, 0.2)
+                prl = PairwiseRobustLinearClassifier(model, 0.2)
+                for clf in (minimax, prl):
+                    digest.update(clf.decide_attacks(x, attacks).tobytes())
+                for rule in (minimax.rule, *prl.rules.values()):
+                    digest.update(rule.statistic(x).tobytes())
+                    digest.update(rule.thresholds(attacks).tobytes())
+            print(digest.hexdigest())
+        """)
+        digests = set()
+        for core in ("Haswell", "Sandybridge"):
+            env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1"}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, timeout=300, env=env)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(proc.stdout)
+        assert len(digests) == 1
 
 
 class TestBuildClassifier:

@@ -97,9 +97,9 @@ class TestReproduce:
 
     @pytest.mark.parametrize("figure", ["fig6", "fig7"])
     def test_surface_peak_memory_is_bounded(self, tmp_path, figure):
-        # the grid oracle holds per-axis cost tables (GLRT) or spans of about
-        # 2^20 observation values (PRL), never a whole (grid x trials, d)
-        # tensor; ru_maxrss is in KB on Linux
+        # the grid oracle holds per-axis cost tables (GLRT) or the labels of
+        # about 2^16 (grid point, row) pairs (PRL), never a whole
+        # (grid x trials, d) tensor; ru_maxrss is in KB on Linux
         probe = (
             "import resource, sys\n"
             "from robustht import cli\n"

@@ -43,9 +43,8 @@ class AlwaysRight:
     def __init__(self, label):
         self.label = label
 
-    def decide_batch(self, x):
-        x = np.atleast_2d(x)
-        return np.full(x.shape[0], self.label, dtype=np.int64)
+    def decide_attacks(self, x, attacks, work=None):
+        return np.full((len(attacks), len(x)), self.label, dtype=np.int64)
 
 
 def binary(mu, sigma=1.0):
@@ -342,16 +341,19 @@ class TestSharedDecisions:
 
     @pytest.fixture
     def decided(self, monkeypatch):
-        """(kind, shape, input digest) -> times decided, and rows decided per kind."""
+        """(kind, shape, tile digest, attack digest) -> times decided, and rows
+        decided per kind, counting each attack of a decide_attacks call."""
         tiles = collections.Counter()
         rows = collections.Counter()
         for cls in (GlrtClassifier, MinDistanceClassifier, PairwiseRobustLinearClassifier):
-            def recorded(self, x, real=cls.decide_batch):
-                tiles[(self.kind, x.shape, hashlib.sha256(x.tobytes()).digest())] += 1
-                rows[self.kind] += x.shape[0]
-                return real(self, x)
+            def recorded(self, x, attacks, work=None, real=cls.decide_attacks):
+                tile = hashlib.sha256(x.tobytes()).digest()
+                for e in attacks:
+                    tiles[(self.kind, x.shape, tile, e.tobytes())] += 1
+                    rows[self.kind] += x.shape[0]
+                return real(self, x, attacks, work)
 
-            monkeypatch.setattr(cls, "decide_batch", recorded)
+            monkeypatch.setattr(cls, "decide_attacks", recorded)
         return tiles, rows
 
     def test_fig8_decides_each_distinct_observation_once(self, decided, tmp_path):
