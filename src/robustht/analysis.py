@@ -38,10 +38,11 @@ from .model import (
 # truncated_gaussian_moment stays bound here: bench/tracing.py counts its calls
 # through this name
 from .numerics import (  # noqa: F401
+    gaussian_end_terms,
     gaussian_pdf,
     q_function,
     truncated_gaussian_moment,
-    truncated_gaussian_moments,
+    truncated_moments_between,
 )
 from .rng import noise_block, sum_over_blocks
 
@@ -145,7 +146,9 @@ def y_bound_moments(mu: float, eps: float, kappa: float, sigma: float) -> Coordi
     mean = q * (t * t + s2) - s2 + sigma * t * pdf
     second = 3.0 * s2 * s2 + q * (t**4 + 4.0 * t * t * s2 - 3.0 * s2 * s2)
     second += sigma * t * pdf * (t * t + 3.0 * s2)
-    return CoordinateMoments(mean=mean, variance=second - mean * mean, kind=MOMENTS_LOWER_BOUND_Y)
+    # below sigma ~ 5e-9 the difference can round below 0, as cost_difference_moments' can
+    variance = max(0.0, second - mean * mean)
+    return CoordinateMoments(mean=mean, variance=variance, kind=MOMENTS_LOWER_BOUND_Y)
 
 
 def _piecewise_cost_polys(mu_abs: float, eps: float, kappa: float):
@@ -158,11 +161,14 @@ def _piecewise_cost_polys(mu_abs: float, eps: float, kappa: float):
     coefficients. Returns (lo, hi, coeffs) triples, coeffs being the three
     ascending-power coefficients as floats.
     """
-    shifts = (2.0 * mu_abs - kappa, -kappa)  # argument = N + shift
-    points = sorted({s for shift in shifts for s in (eps - shift, -eps - shift)})
+    upper = 2.0 * mu_abs - kappa  # the arguments are N + upper and N + lower
+    lower = -kappa
+    points = sorted({eps - upper, -eps - upper, eps - lower, -eps - lower})
     edges = [-math.inf, *points, math.inf]
-
-    def branch_coeffs(shift: float, lo: float, hi: float) -> tuple[float, float, float]:
+    pieces = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        if not lo < hi:
+            continue
         # representative point of the open interval
         if math.isinf(lo):
             probe = hi - 1.0
@@ -170,23 +176,68 @@ def _piecewise_cost_polys(mu_abs: float, eps: float, kappa: float):
             probe = lo + 1.0
         else:
             probe = 0.5 * (lo + hi)
-        u = probe + shift
-        if u >= eps:
-            c = shift - eps  # (N + shift - eps)^2
-        elif u <= -eps:
-            c = shift + eps  # (N + shift + eps)^2
-        else:
-            return 0.0, 0.0, 0.0
-        return c * c, 2.0 * c, 1.0
-
-    pieces = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if not lo < hi:
-            continue
-        p0, p1, p2 = branch_coeffs(shifts[0], lo, hi)
-        q0, q1, q2 = branch_coeffs(shifts[1], lo, hi)
+        p0, p1, p2 = _branch_coeffs(probe + upper, upper, eps)
+        q0, q1, q2 = _branch_coeffs(probe + lower, lower, eps)
         pieces.append((lo, hi, (p0 - q0, p1 - q1, p2 - q2)))
     return pieces
+
+
+def _branch_coeffs(u: float, shift: float, eps: float) -> tuple[float, float, float]:
+    """Ascending coefficients in N of g_eps(N + shift)^2 where N + shift = u."""
+    if u >= eps:
+        c = shift - eps  # (N + shift - eps)^2
+    elif u <= -eps:
+        c = shift + eps  # (N + shift + eps)^2
+    else:
+        return 0.0, 0.0, 0.0
+    return c * c, 2.0 * c, 1.0
+
+
+# gaussian_end_terms at -inf and +inf, the same at every sigma
+_INFINITE_ENDS = {-math.inf: (0.0, 0.0, 0.0, 0.0, 0.0), math.inf: (1.0, 0.0, 0.0, 0.0, 0.0)}
+
+
+class _CostPieces:
+    """The nonzero quadratic pieces of C for each of several levels |mu|.
+
+    A level's pieces depend on eps and kappa only, so one table serves
+    every sigma of a call. `moments(sigma)` evaluates the Gaussian end
+    terms of each finite breakpoint once, when a piece first needs them:
+    the two pieces that meet there share them, and so do the levels, whose
+    -kappa breakpoints coincide. Each piece keeps its coefficients and
+    those of its square, summed in np.convolve's order.
+    """
+
+    def __init__(self, levels, eps: float, kappa: float):
+        self.levels = [
+            [(lo, hi, c0, c1, c2, c0 * c0, c0 * c1 + c1 * c0, c0 * c2 + c1 * c1 + c2 * c0,
+              c1 * c2 + c2 * c1, c2 * c2)
+             for lo, hi, (c0, c1, c2) in _piecewise_cost_polys(abs(float(mu)), eps, kappa)
+             if c0 or c1 or c2]
+            for mu in levels]
+
+    def moments(self, sigma: float) -> list[tuple[float, float]]:
+        """(mean, variance) of C at each level, the variance clamped at 0."""
+        ends = dict(_INFINITE_ENDS)
+        out = []
+        for pieces in self.levels:
+            mean = 0.0
+            second = 0.0
+            for lo, hi, c0, c1, c2, k0, k1, k2, k3, k4 in pieces:
+                lo_end = ends.get(lo)
+                if lo_end is None:
+                    lo_end = ends[lo] = gaussian_end_terms(lo, sigma)
+                hi_end = ends.get(hi)
+                if hi_end is None:
+                    hi_end = ends[hi] = gaussian_end_terms(hi, sigma)
+                m0, m1, m2, m3, m4 = truncated_moments_between(sigma, lo_end, hi_end)
+                mean += c0 * m0 + c1 * m1 + c2 * m2
+                second += k0 * m0 + k1 * m1 + k2 * m2 + k3 * m3 + k4 * m4
+            variance = max(0.0, second - mean * mean)
+            if not (math.isfinite(mean) and math.isfinite(variance)):
+                raise ValueError("moments must be finite")
+            out.append((mean, variance))
+        return out
 
 
 def cost_difference_moments(
@@ -200,18 +251,7 @@ def cost_difference_moments(
     sign flip of the coordinate.
     """
     _check_attack_params(eps, kappa, sigma)
-    mean = 0.0
-    second = 0.0
-    for lo, hi, (c0, c1, c2) in _piecewise_cost_polys(abs(mu), eps, kappa):
-        if not (c0 or c1 or c2):
-            continue
-        m0, m1, m2, m3, m4 = truncated_gaussian_moments(sigma, lo, hi)
-        mean += c0 * m0 + c1 * m1 + c2 * m2
-        # coefficients of the squared branch, each summed in np.convolve's order
-        second += (c0 * c0 * m0 + (c0 * c1 + c1 * c0) * m1
-                   + (c0 * c2 + c1 * c1 + c2 * c0) * m2
-                   + (c1 * c2 + c2 * c1) * m3 + c2 * c2 * m4)
-    variance = max(0.0, second - mean * mean)
+    [(mean, variance)] = _CostPieces([mu], eps, kappa).moments(sigma)
     return CoordinateMoments(mean=mean, variance=variance, kind=MOMENTS_EXACT_C)
 
 
@@ -236,29 +276,29 @@ def clt_error(
     """
     half = _binary_half_difference(model)
     levels, counts = np.unique(np.abs(half), return_counts=True)
-    return _clt_error_from_levels(levels, counts, eps, kappa, model.sigma, use_lower_bound)
-
-
-def _clt_error_from_levels(
-    levels, counts, eps: float, kappa: float, sigma: float, use_lower_bound: bool = False
-) -> ErrorEstimate:
-    """clt_error for a half-difference with `counts[i]` coordinates at |value| levels[i]."""
     moment_fn = y_bound_moments if use_lower_bound else cost_difference_moments
-    moments = [moment_fn(float(value), eps, kappa, sigma) for value in levels]
+    moments = [moment_fn(float(value), eps, kappa, model.sigma) for value in levels]
     method = METHOD_CLT_LOWER_BOUND if use_lower_bound else METHOD_CLT_EXACT
     return _clt_error_from_moments(moments, counts, method)
 
 
 def _clt_error_from_moments(moments, counts, method: str) -> ErrorEstimate:
     """The CLT estimate from each level's moments, `counts[i]` coordinates at level i."""
+    value = _clt_value([(m.mean, m.variance) for m in moments], counts)
+    return ErrorEstimate(value=value, method=method)
+
+
+def _clt_value(moments, counts) -> float:
+    """Q(sum of means / sqrt(sum of variances)) over (mean, variance) pairs per level,
+    summed in level order; the deterministic limit when the variance sum is 0."""
     mean_sum = 0.0
     var_sum = 0.0
-    for m, count in zip(moments, counts):
-        mean_sum += count * m.mean
-        var_sum += count * m.variance
+    for (mean, variance), count in zip(moments, counts):
+        mean_sum += count * mean
+        var_sum += count * variance
     if var_sum <= 0.0:
-        return ErrorEstimate(value=0.0 if mean_sum >= 0 else 1.0, method=method)
-    return ErrorEstimate(value=q_function(mean_sum / math.sqrt(var_sum)), method=method)
+        return 0.0 if mean_sum >= 0 else 1.0
+    return q_function(mean_sum / math.sqrt(var_sum))
 
 
 def snr_minimax(
@@ -315,7 +355,7 @@ def low_noise_thresholds(model: HypothesisModel) -> tuple[float, float]:
         raise ValueError("the two class means are identical")
     linf = float(np.max(np.abs(half)))
     l1 = float(np.abs(half).sum())
-    l2sq = float(half @ half)
+    l2sq = float(np.einsum("i,i->", half, half))
     return linf, l2sq / l1
 
 
@@ -341,12 +381,14 @@ def sigma_for_target_error(
         raise ValueError(f"method must be clt-analytic or monte-carlo, got {method!r}")
 
     if method == METHOD_CLT_EXACT:
-        # the profile's half-difference is its mean vector, whatever sigma is
-        levels, counts = np.unique(profile.mean_vector(), return_counts=True)
+        check_eps(profile.eps, kappa)
+        # the profile's half-difference is its mean vector, whatever sigma is,
+        # and the pieces of its levels do not depend on sigma either
+        levels, counts = profile.levels()
+        pieces = _CostPieces(levels, profile.eps, kappa)
 
         def err(sigma: float) -> tuple[float, float]:
-            est = _clt_error_from_levels(levels, counts, profile.eps, kappa, sigma)
-            return est.value, 0.0
+            return _clt_value(pieces.moments(sigma), counts), 0.0
     else:
         from .engine import monte_carlo_error
 

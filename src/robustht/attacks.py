@@ -127,7 +127,7 @@ def nn_class_min_distance(model: HypothesisModel, true_class: int, eps: float) -
     j = model.check_class(true_class)
     scores = {}
     for k, h in _candidate_separations(model, j).items():
-        l2 = float(np.linalg.norm(h))
+        l2 = float(np.sqrt(np.einsum("i,i->", h, h)))
         scores[k] = l2 - eps * float(np.abs(h).sum()) / l2
     target = min(scores, key=lambda k: (scores[k], k))
     return NNSelection(target=target, scores=scores)
@@ -153,7 +153,7 @@ def nn_class_glrt(
     scores = {}
     for k, h in _candidate_separations(model, j).items():
         kept = np.maximum(0.0, np.abs(h) - threshold)
-        scores[k] = float(kept @ kept)
+        scores[k] = float(np.einsum("i,i->", kept, kept))
     target = min(scores, key=lambda k: (scores[k], k))
     return NNSelection(
         target=target, scores=scores, degenerate=all(s == 0.0 for s in scores.values())

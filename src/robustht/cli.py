@@ -23,18 +23,21 @@ from pathlib import Path
 from . import configs
 from .analysis import (
     METHOD_CLT_EXACT,
+    METHOD_CLT_LOWER_BOUND,
     METHOD_MONTE_CARLO,
     METHOD_Q_OF_SNR,
     MOMENT_COLUMNS,
     _clt_error_from_moments,
-    clt_error,
     cost_difference_moments,
     error_from_snr,
     moment_study,
     sigma_for_target_error,
     snr_glrt,
     snr_minimax,
+    y_bound_moments,
 )
+# clt_error stays bound here: bench/tracing.py patches it through this name
+from .analysis import clt_error  # noqa: F401
 from .attacks import brute_force_attack_oracle, nn_class_glrt, nn_class_min_distance
 from .classifiers import ClassifierKind, build_classifier
 from .engine import (
@@ -243,39 +246,55 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_predict(args) -> int:
     profile = TwoLevelProfile(d=args.d, p=args.p, a=args.a, b=args.b, eps=args.eps)
-    model = profile.to_model(args.sigma)
+    if not 0 < args.sigma < math.inf:
+        raise ConfigError(f"sigma: must be finite and > 0, got {args.sigma}")
+    if not args.kappa:
+        raise ConfigError("kappa: must list at least one strength")
     for kappa in args.kappa:
         # a finite kappa above eps is an overdriven attack: only its minimax row is written
         if not 0 <= kappa < math.inf:
             raise ConfigError(f"kappa: must be finite and >= 0, got {kappa}")
+    try:
+        # every row exists before the first is written
+        rows = list(_predict_rows(profile, args.sigma, args.kappa, args.seed))
+    except (ArithmeticError, ValueError) as exc:
+        raise ConfigError(f"sigma: no finite prediction at sigma = {args.sigma}: {exc}") from None
 
     def run(sink):
-        def row(kappa, kind, error, method):
-            sink(sweep_row(SWEEP_KAPPA, kappa, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC,
-                           kappa, error, method, args.seed))
-
-        for kappa in args.kappa:
-            snr_mm = snr_minimax(args.d, args.p, args.a, kappa / args.eps, args.eps, args.sigma)
-            row(kappa, ClassifierKind.MINIMAX_LINEAR, error_from_snr(snr_mm), METHOD_Q_OF_SNR)
-            if 0 <= kappa <= args.eps:
-                # one moment pair per kappa serves the CLT and the q-of-snr rows;
-                # the levels in ascending order, as clt_error sums them
-                ma = cost_difference_moments(args.a * args.eps, args.eps, kappa, args.sigma)
-                mb = cost_difference_moments(args.b * args.eps, args.eps, kappa, args.sigma)
-                exact = _clt_error_from_moments(
-                    (mb, ma), (args.d - profile.num_strong, profile.num_strong), METHOD_CLT_EXACT
-                )
-                lower = clt_error(model, args.eps, kappa, use_lower_bound=True)
-                row(kappa, ClassifierKind.GLRT, exact.value, exact.method)
-                row(kappa, ClassifierKind.GLRT, lower.value, lower.method)
-                row(kappa, ClassifierKind.GLRT,
-                    error_from_snr(snr_glrt(args.d, args.p, ma, mb))
-                    if ma.mean * args.p + mb.mean * (1 - args.p) >= 0 else 0.5,
-                    METHOD_Q_OF_SNR)
+        for row in rows:
+            sink(row)
         return {"profile": profile.to_dict(), "sigma": args.sigma, "seed": args.seed}
 
     _write_rows(args, CSV_HEADER, format_row, run)
     return _EXIT_OK
+
+
+def _predict_rows(profile, sigma, kappas, seed):
+    """For each kappa: the minimax q-of-snr row, then, within the budget, the
+    GLRT's clt-analytic, clt-lower-bound and q-of-snr rows."""
+    eps = profile.eps
+    levels, counts = profile.levels()
+
+    def row(kappa, kind, error, method):
+        return sweep_row(SWEEP_KAPPA, kappa, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC,
+                         kappa, error, method, seed)
+
+    for kappa in kappas:
+        snr_mm = snr_minimax(profile.d, profile.p, profile.a, kappa / eps, eps, sigma)
+        yield row(kappa, ClassifierKind.MINIMAX_LINEAR, error_from_snr(snr_mm), METHOD_Q_OF_SNR)
+        if kappa <= eps:
+            # one moment pair serves the CLT and the q-of-snr rows
+            mb, ma = (cost_difference_moments(mu, eps, kappa, sigma) for mu in levels)
+            exact = _clt_error_from_moments((mb, ma), counts, METHOD_CLT_EXACT)
+            lower = _clt_error_from_moments(
+                [y_bound_moments(mu, eps, kappa, sigma) for mu in levels], counts,
+                METHOD_CLT_LOWER_BOUND)
+            yield row(kappa, ClassifierKind.GLRT, exact.value, exact.method)
+            yield row(kappa, ClassifierKind.GLRT, lower.value, lower.method)
+            yield row(kappa, ClassifierKind.GLRT,
+                      error_from_snr(snr_glrt(profile.d, profile.p, ma, mb))
+                      if ma.mean * profile.p + mb.mean * (1 - profile.p) >= 0 else 0.5,
+                      METHOD_Q_OF_SNR)
 
 
 def _cmd_surface(args) -> int:

@@ -162,9 +162,14 @@ class TwoLevelProfile:
     def num_strong(self) -> int:
         return int(round(self.p * self.d))
 
+    def levels(self) -> tuple[tuple[float, float], tuple[int, int]]:
+        """The two coordinate means, ascending, and the number of coordinates at each."""
+        return (self.b * self.eps, self.a * self.eps), (self.d - self.num_strong, self.num_strong)
+
     def mean_vector(self) -> np.ndarray:
-        mu = np.full(self.d, self.b * self.eps)
-        mu[: self.num_strong] = self.a * self.eps
+        (weak, strong), _ = self.levels()
+        mu = np.full(self.d, weak)
+        mu[: self.num_strong] = strong
         return mu
 
     def to_model(self, sigma: float) -> HypothesisModel:

@@ -24,7 +24,12 @@ from robustht.analysis import _piecewise_cost_polys
 from robustht.classifiers import GlrtClassifier, per_coordinate_cost_difference
 from robustht.engine import monte_carlo_error
 from robustht.model import AttackMode, AttackSpec, HypothesisModel, TwoLevelProfile
-from robustht.numerics import gaussian_pdf, q_function, truncated_gaussian_moment
+from robustht.numerics import (
+    gaussian_pdf,
+    q_function,
+    truncated_gaussian_moment,
+    truncated_gaussian_moments,
+)
 
 
 def gauss_quad(fn, sigma, lo, hi):
@@ -98,6 +103,12 @@ class TestYBoundMoments:
             )
             assert abs(y.var() - m.variance) < 5 * se_var
 
+    def test_variance_clamped_at_zero(self):
+        # second - mean^2 rounds to -5.6e-17 here
+        m = y_bound_moments(0.9, 1.0, 0.0, 4e-9)
+        assert m.variance == 0.0
+        assert m.mean == pytest.approx(0.64, rel=1e-12)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             y_bound_moments(1.0, 1.0, 1.0, 0.0)
@@ -123,6 +134,22 @@ def _per_order_cost_moments(mu, eps, kappa, sigma):
     return mean, max(0.0, second - mean * mean)
 
 
+def _piece_sum_cost_moments(mu, eps, kappa, sigma):
+    """Moments of C from one truncated_gaussian_moments call per nonzero piece,
+    each piece evaluating both of its ends."""
+    mean = 0.0
+    second = 0.0
+    for lo, hi, (c0, c1, c2) in _piecewise_cost_polys(abs(mu), eps, kappa):
+        if not (c0 or c1 or c2):
+            continue
+        m0, m1, m2, m3, m4 = truncated_gaussian_moments(sigma, lo, hi)
+        mean += c0 * m0 + c1 * m1 + c2 * m2
+        second += (c0 * c0 * m0 + (c0 * c1 + c1 * c0) * m1
+                   + (c0 * c2 + c1 * c1 + c2 * c0) * m2
+                   + (c1 * c2 + c2 * c1) * m3 + c2 * c2 * m4)
+    return mean, max(0.0, second - mean * mean)
+
+
 class TestCostDifferenceMoments:
     def test_zero_mean_coordinate_vanishes(self):
         m = cost_difference_moments(0.0, 1.0, 1.0, 1.0)
@@ -144,6 +171,23 @@ class TestCostDifferenceMoments:
                     got = cost_difference_moments(mu, eps, kappa, float(sigma))
                     mean, variance = _per_order_cost_moments(mu, eps, kappa, float(sigma))
                     assert got.mean == mean and got.variance == variance, (mu, kappa, sigma)
+
+    def test_bit_identical_to_sum_over_pieces(self):
+        # shared breakpoint terms change no bit of the piece-by-piece sum
+        rng = np.random.default_rng(19)
+        cases = []
+        for _ in range(400):
+            eps = float(rng.uniform(0.05, 3.0))
+            mu = float(rng.choice([0.0, rng.uniform(-4.0, 4.0) * eps]))
+            kappa = float(rng.choice([0.0, eps, rng.uniform(0.0, eps)]))
+            sigma = float(rng.choice([1e-3, 40.0, np.exp(rng.uniform(-7.0, 4.0))]))
+            cases.append((mu, eps, kappa, sigma))
+        cases += [(0.0, 1.0, 0.0, 1e-3), (0.0, 1.0, 1.0, 40.0), (1.5, 1.0, 1.0, 1e-3)]
+        for mu, eps, kappa, sigma in cases:
+            got = cost_difference_moments(mu, eps, kappa, sigma)
+            mean, variance = _piece_sum_cost_moments(mu, eps, kappa, sigma)
+            assert (got.mean, got.variance) == (mean, variance), (mu, eps, kappa, sigma)
+            assert math.copysign(1.0, got.mean) == math.copysign(1.0, mean)
 
     def test_piecewise_matches_direct_formula(self):
         # the interval polynomials must agree with the soft-threshold

@@ -407,11 +407,15 @@ class TestDecideAttacks:
         np.testing.assert_array_equal(labels[0, :len(ties)], lower)
         assert labels.tobytes() == _nearest_class(x, means, None).tobytes()
 
-    def test_linear_labels_do_not_depend_on_the_blas_kernel(self):
-        # two OpenBLAS kernels round x @ w differently at d = 20 and 400
+    def test_no_result_depends_on_the_blas_kernel(self):
+        # OpenBLAS kernels round x @ w differently: Sandybridge at d = 400, Prescott
+        # at d = 3, 20 and 400; the labels, statistics and thresholds of the linear
+        # rules, the NN-class scores and the low-noise thresholds must not see it
         script = textwrap.dedent("""
             import hashlib
             import numpy as np
+            from robustht.analysis import low_noise_thresholds
+            from robustht.attacks import nn_class_glrt, nn_class_min_distance
             from robustht.classifiers import (
                 MinimaxLinearClassifier, PairwiseRobustLinearClassifier)
             from robustht.model import HypothesisModel
@@ -430,10 +434,20 @@ class TestDecideAttacks:
                 for rule in (minimax.rule, *prl.rules.values()):
                     digest.update(rule.statistic(x).tobytes())
                     digest.update(rule.thresholds(attacks).tobytes())
+            for d in (3, 20, 400):
+                rng = np.random.default_rng(1000 + d)
+                for _ in range(20):
+                    model = HypothesisModel(means=rng.normal(size=(3, d)), sigma=1.0)
+                    binary = HypothesisModel(means=model.means[:2], sigma=1.0)
+                    digest.update(np.array(low_noise_thresholds(binary)).tobytes())
+                    for j in range(3):
+                        for sel in (nn_class_glrt(model, j, 0.5, 0.3),
+                                    nn_class_min_distance(model, j, 0.5)):
+                            digest.update(np.array(list(sel.scores.values())).tobytes())
             print(digest.hexdigest())
         """)
         digests = set()
-        for core in ("Haswell", "Sandybridge"):
+        for core in ("Haswell", "Sandybridge", "Prescott"):
             env = {**os.environ, "OPENBLAS_CORETYPE": core, "OPENBLAS_NUM_THREADS": "1"}
             proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                                   text=True, timeout=300, env=env)

@@ -339,6 +339,8 @@ FORMAT_CONTRACT_FILES = {
     "ternary-3d-model.json": {"means": [[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [-0.5, -1.0, 0.5]],
                               "sigma": 0.6},
 }
+FIG5_PROFILE = ("--p", "0.3", "--a", "1.1", "--b", "0.9", "--eps", "1")
+Q_SQRT5 = "0.012673659338734137"  # repr of Q(sqrt(5)), fig5's first target
 FORMAT_CONTRACT = {
     ("simulate", "model-config.json"): (
         "96be5df74da0fc4205f83aef07bd52005c12147735d5f906f0ddfd60702c8f31",
@@ -374,6 +376,21 @@ FORMAT_CONTRACT = {
         "1e29ae5c75bbb19d8273394b25b4e7dd1825c8126bd3047eab1ebf2dd0d14939"),
     ("nn-class", "--model", "ternary-2d", "--eps", "1", "--kappa", "0.5"): (
         "1d5a178e10a3c590cce5509ab3de371bca957d9c14a1a7e45de6ae3be060cda2", None),
+    # the clt-analytic search at fig5's profile and target Q(sqrt(5)), a profile
+    # whose weak level is 0, and an attack of strength 0
+    ("sigma-search", "--d", "50", *FIG5_PROFILE, "--kappa", "1", "--target", Q_SQRT5): (
+        "26436d64209ef63d71952a5757f3ad916d12ab61251ad1f6ee88782638b80068", None),
+    ("sigma-search", "--d", "400", *FIG5_PROFILE, "--kappa", "1", "--target", Q_SQRT5): (
+        "a737b706b2736bbe2c73bbffdc235fee951e0914ef8fa6ebf5c8451cb3e6fcae", None),
+    ("sigma-search", "--d", "50", *FIG5_PROFILE, "--kappa", "0.8", "--target", Q_SQRT5): (
+        "611a5b4b6eb0b6d12c73830d635586f3419c2f8ff4ab4f63957f523186b66c22", None),
+    ("sigma-search", "--d", "400", *FIG5_PROFILE, "--kappa", "0.8", "--target", Q_SQRT5): (
+        "19ba279862c36a613a96c8cd482cebbebc6ad1fdddc99c4f4fe72025e6df6d09", None),
+    ("sigma-search", "--d", "40", "--p", "0.25", "--a", "1.5", "--b", "0", "--eps", "1",
+     "--kappa", "1", "--target", "0.01"): (
+        "d4b4da4ca7b99136a5cc9ffc7f054c8070f15eb9012f10bc6efae3bc5920146a", None),
+    ("sigma-search", "--d", "50", *FIG5_PROFILE, "--kappa", "0", "--target", "0.01"): (
+        "286a6098bc3ae9150c330f4f9a3d518c9bb7aadfe6c552f2bf80ad4d2a98b601", None),
 }
 
 
@@ -556,6 +573,35 @@ def test_predict_bad_kappa_rejected_before_output(tmp_path, monkeypatch, capsys,
     message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, [
         "predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
         "--sigma", "1", f"--kappa={kappa}"])
+    assert message.startswith("kappa:")
+
+
+_PREDICT = ["predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+            "--kappa", "0,0.5,1,1.5"]
+
+
+def test_predict_sigma_where_the_lower_bound_variance_rounds_below_zero(tmp_path):
+    # y_bound_moments(0.9, 1, 0, 4e-9) used to give a variance of -5.6e-17 and
+    # stop predict after its first row
+    out = tmp_path / "out.csv"
+    assert cli.main([*_PREDICT, "--sigma", "4e-9", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 4 + 1
+
+
+@pytest.mark.parametrize("sigma", ["1e-9", "1e-300", "1e300", "0", "-1", "nan", "inf"],
+                         ids=["zero-variance-sum", "snr-overflow", "moment-overflow", "zero",
+                              "negative", "nan", "inf"])
+def test_predict_sigma_without_finite_prediction_rejected_before_output(
+        tmp_path, monkeypatch, capsys, sigma):
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path,
+                                        [*_PREDICT, "--sigma", sigma])
+    assert message.startswith("sigma:")
+
+
+def test_predict_empty_kappa_list_rejected_before_output(tmp_path, monkeypatch, capsys):
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, [
+        "predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+        "--sigma", "1", "--kappa="])
     assert message.startswith("kappa:")
 
 
