@@ -12,7 +12,6 @@ from .analysis import (
     METHOD_Q_OF_SNR,
     BracketExhaustedError,
     CoordinateMoments,
-    DegenerateModelError,
     ErrorEstimate,
     clt_error,
     cost_difference_moments,
@@ -83,7 +82,7 @@ __all__ = [
     "binary_sign_attack", "nn_class_min_distance", "nn_class_glrt",
     "heuristic_agnostic_attack", "noise_aware_attack", "brute_force_attack_oracle",
     # analysis
-    "CoordinateMoments", "ErrorEstimate", "DegenerateModelError",
+    "CoordinateMoments", "ErrorEstimate",
     "BracketExhaustedError", "y_bound_moments", "cost_difference_moments",
     "clt_error", "snr_minimax", "snr_glrt", "error_from_snr",
     "low_noise_thresholds", "sigma_for_target_error", "moment_study",

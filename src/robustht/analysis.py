@@ -55,7 +55,6 @@ __all__ = [
     "METHOD_Q_OF_SNR",
     "CoordinateMoments",
     "ErrorEstimate",
-    "DegenerateModelError",
     "BracketExhaustedError",
     "y_bound_moments",
     "cost_difference_moments",
@@ -76,10 +75,6 @@ METHOD_MONTE_CARLO = "monte-carlo"
 METHOD_CLT_EXACT = "clt-analytic"
 METHOD_CLT_LOWER_BOUND = "clt-lower-bound"
 METHOD_Q_OF_SNR = "q-of-snr"
-
-
-class DegenerateModelError(ValueError):
-    """The requested predictor has no signal or no noise term to normalize by."""
 
 
 class BracketExhaustedError(RuntimeError):
@@ -324,12 +319,16 @@ def snr_glrt(
     """Effective SNR of the soft-threshold rule on a two-level profile.
 
     d * (p m_a + (1-p) m_b)^2 / (p rho_a^2 + (1-p) rho_b^2), from the CLT
-    estimate with the two coordinate populations' moments.
+    estimate with the two coordinate populations' moments. A zero variance
+    sum is the deterministic limit, as in the CLT estimate: the statistic
+    is a constant and ties favour the true class, so the SNR is infinite
+    and the error 0. Like the formula, that holds where the mean sum is
+    >= 0, which the caller checks.
     """
     mean = p * moments_a.mean + (1.0 - p) * moments_b.mean
     var = p * moments_a.variance + (1.0 - p) * moments_b.variance
     if var <= 0.0:
-        raise DegenerateModelError("zero variance sum: the error is deterministic, not Q-shaped")
+        return math.inf
     return d * mean * mean / var
 
 

@@ -6,10 +6,13 @@ keyed by (seed, block), errors are integer counts per block, and
 `rng.sum_over_blocks` adds them in block order, so results are
 byte-identical for any `threads` setting. Common random numbers are
 shared by every cell of one run that has the same seed, trials and
-dimension (a whole kappa or eps_over_sigma_sq sweep, one dimension of a
-dimension sweep), across the configs of a multi-config run too, which
-turns the paper-style ordering comparisons into paired tests and draws
-each noise block once per run.
+true class (a whole kappa, eps_over_sigma_sq or dimension sweep), across
+the configs of a multi-config run too, which turns the paper-style
+ordering comparisons into paired tests and draws each noise block once
+per run. The block is drawn at the widest dimension of the cells that
+share it, and a narrower cell reads its block as a prefix of that draw,
+so a dimension sweep's rows are all final, and arrive, after its last
+block.
 Each cell's attack is resolved once to replays (`_attack_plan`). Cells that
 see the same observations (same model, classifier, true class and sigma)
 decide each of their distinct attacks once per row tile, and every cell
@@ -114,26 +117,34 @@ def _decision_groups(tasks) -> list[tuple[list, np.ndarray]]:
 def _tally_block(tasks, groups, z_block) -> np.ndarray:
     """(errors, rejects) of every task, one row each, on one block of standard normal draws.
 
+    z_block is drawn at the widest dimension of the tasks; a group of
+    dimension d reads the first rows * d values of the block as its own
+    (rows, d) block, which is what `noise_block` draws at d.
     For each group of tasks that decide the same observations, mu_j +
     sigma * z is built one row tile of about _TILE_ELEMENTS values at a
-    time, in one reused buffer, and one `decide_attacks` call decides each
-    of the group's distinct attacks once on it. Every task's labels then
-    come from its replays of those decisions through `noise_aware_labels`.
-    Each row is decided on its own, so neither tiling nor sharing changes
-    a single label.
+    time, in one buffer reused by every group, and one `decide_attacks`
+    call decides each of the group's distinct attacks once on it. Every
+    task's labels then come from its replays of those decisions through
+    `noise_aware_labels`. Each row is decided on its own, so neither
+    tiling nor sharing changes a single label.
     """
-    rows, dim = z_block.shape
-    step = max(1, _TILE_ELEMENTS // dim)
-    tile = np.empty((min(step, rows), dim))
-    attacked = np.empty_like(tile)
+    rows = z_block.shape[0]
+    dims = [attacks.shape[1] for _, attacks in groups]
+    steps = [min(max(1, _TILE_ELEMENTS // dim), rows) for dim in dims]
+    # one pair of tile buffers per block, large enough for every group's tile
+    size = max(step * dim for step, dim in zip(steps, dims))
+    tile_buffer = np.empty(size)
+    attacked_buffer = np.empty(size)
     counts = np.zeros((len(tasks), 2), dtype=np.int64)
-    for members, attacks in groups:
+    for step, dim, (members, attacks) in zip(steps, dims, groups):
         model, classifier, _, j, sigma = tasks[members[0][0]]
+        block = z_block.ravel()[:rows * dim].reshape(rows, dim)
+        tile = tile_buffer[:step * dim].reshape(step, dim)
         # the GLRT adds a lone attack in place, which keeps one tile in cache
         # (a dimension sweep's groups); several need the tile kept intact
-        out = tile if len(attacks) == 1 else attacked
+        out = tile if len(attacks) == 1 else attacked_buffer[:step * dim].reshape(step, dim)
         for lo in range(0, rows, step):
-            z = z_block[lo:lo + step]
+            z = block[lo:lo + step]
             base = np.multiply(sigma, z, out=tile[:z.shape[0]])
             base += model.means[j]
             decided = classifier.decide_attacks(base, attacks, work=out[:z.shape[0]])
@@ -149,14 +160,16 @@ def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
     """(error, ci, reject_rate) of each (model, classifier, AttackSpec, sigma) cell.
 
     The one place where the engine draws Monte Carlo noise: each block is
-    drawn once and every cell and true class is tallied on it, so all
-    cells share common random numbers; `rng.sum_over_blocks` adds up the
-    blocks' integer counts. The cells' models share one dimension
-    and may differ in anything else. true_class picks a class-conditional
-    error; None weights each model's class-conditional errors with its
-    priors.
+    drawn once, at the widest dimension of the cells' models, and every
+    cell and true class is tallied on it, so all cells share common random
+    numbers; `rng.sum_over_blocks` adds up the blocks' integer counts. A
+    cell of narrower dimension d reads the first d-wide block of that draw,
+    the block `noise_block` gives at d (its prefix property), so its counts
+    do not depend on the other cells. The models may differ in anything.
+    true_class picks a class-conditional error; None weights each model's
+    class-conditional errors with its priors.
     """
-    [dim] = {model.dim for model, _, _, _ in cells}
+    widest = max(model.dim for model, _, _, _ in cells)
 
     def classes(model):
         return [true_class] if true_class is not None else range(model.num_classes)
@@ -168,7 +181,7 @@ def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
     ]
     groups = _decision_groups(tasks)
     totals = sum_over_blocks(
-        trials, lambda b, rows: _tally_block(tasks, groups, noise_block(seed, b, rows, dim)),
+        trials, lambda b, rows: _tally_block(tasks, groups, noise_block(seed, b, rows, widest)),
         threads,
     )
 
@@ -439,10 +452,10 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, row_sink=None) ->
 
     Deterministic for a given (config, seed). row_sink, if given, receives
     each row as soon as it is final, so partial results of long sweeps
-    survive interruption. Cells that share a noise draw are sampled
-    together: one group for the kappa and eps_over_sigma_sq axes (common
-    random numbers across the sweep), one group per dimension, whose rows
-    are final before the next dimension is calibrated.
+    survive interruption. Every cell of the sweep shares one noise draw
+    (common random numbers across the sweep) and is sampled with the
+    others, a dimension sweep's at its widest dimension: every dimension
+    is calibrated first, and the rows arrive after the last noise block.
     """
     [result] = run_experiments([config], threads, row_sink)
     return result
@@ -452,36 +465,34 @@ def run_experiments(configs, threads: int = 1, row_sink=None) -> list[Experiment
     """Execute several sweeps as one run, one result per config.
 
     Every config is validated before any noise is drawn. The cell groups
-    of all configs that share (seed, trials, dimension, true_class) are
-    tallied together on one draw of each noise block, so common random
-    numbers span configs and no block is drawn twice. Rows come out config
-    by config, each config's in its own order: row_sink receives the rows
-    of the config being run as each of its groups finishes, and holds rows
-    of a later config, tallied early, until every config before it is done.
+    of all configs that share (seed, trials, true_class) are tallied
+    together on one draw of each noise block, at their widest dimension,
+    so common random numbers span configs and dimensions and no block is
+    drawn twice. Rows come out config by config, each config's in its own
+    order: row_sink receives the rows of the config being run once the
+    last block of their draw is tallied (for a dimension sweep, all of its
+    rows at once), and holds rows of a later config, tallied early, until
+    every config before it is done.
     """
     configs = list(configs)
     for config in configs:
         config.validate()
-    groups = [_cell_groups(config) for config in configs]
-    # noise key -> the (config, group) pairs that draw it, in run order
+    # noise key -> the indices of the configs that draw it, in run order
     sharing: dict[tuple, list] = {}
     for i, config in enumerate(configs):
-        for g, (dim, _) in enumerate(groups[i]):
-            sharing.setdefault(_noise_key(config, dim), []).append((i, g))
+        sharing.setdefault(_noise_key(config), []).append(i)
 
-    held: dict[tuple, list] = {}  # (config, group) -> rows tallied, not yet emitted
+    held: dict[int, list] = {}  # config index -> rows tallied, not yet emitted
     results = []
     for i, config in enumerate(configs):
-        rows = []
-        for g, (dim, _) in enumerate(groups[i]):
-            if (i, g) not in held:
-                key = _noise_key(config, dim)
-                members = sharing.pop(key)
-                held.update(zip(members, _tally_groups(configs, groups, members, key, threads)))
-            for row in held.pop((i, g)):
-                rows.append(row)
-                if row_sink is not None:
-                    row_sink(row)
+        if i not in held:
+            key = _noise_key(config)
+            members = sharing.pop(key)
+            held.update(zip(members, _tally_configs([configs[m] for m in members], key, threads)))
+        rows = held.pop(i)
+        if row_sink is not None:
+            for row in rows:
+                row_sink(row)
         metadata = {
             "config": config.to_dict(),
             "config_hash": config.config_hash(),
@@ -492,32 +503,40 @@ def run_experiments(configs, threads: int = 1, row_sink=None) -> list[Experiment
     return results
 
 
-def _noise_key(config, dim) -> tuple:
-    """What decides a cell group's noise draws; groups with equal keys share them."""
-    return (config.seed, config.trials, dim, config.true_class)
+def _noise_key(config) -> tuple:
+    """What decides a config's noise draws; configs with equal keys share them.
+
+    The dimension is not part of it: every cell group of one key, whatever
+    its dimension, is tallied on one draw of each block at the widest of
+    them, and the narrower groups read their blocks as prefixes of it.
+    """
+    return (config.seed, config.trials, config.true_class)
 
 
-def _tally_groups(configs, groups, members, key, threads) -> list[list[dict]]:
-    """Rows of each (config, group) member, all tallied on the draws of one noise key."""
+def _tally_configs(configs, key, threads) -> list[list[dict]]:
+    """Rows of each config, all tallied on the draws of their one noise key.
+
+    Every cell group's sigma is calibrated before the first block is drawn.
+    """
     built = []
     cells = []
-    for i, g in members:
-        config = configs[i]
-        dim, group = groups[i][g]
-        model = _group_model(config, dim)
-        classifiers = {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
-        cells += [
-            (model, classifiers[kind], _spec_for(config.eps, mode, kappa),
-             _sigma_for(config, model, value))
-            for value, kind, mode, kappa in group
-        ]
-        built.append((config, model, group))
-    seed, trials, _, true_class = key
+    for k, config in enumerate(configs):
+        for dim, group in _cell_groups(config):
+            model = _group_model(config, dim)
+            classifiers = {kind: build_classifier(kind, model, config.eps)
+                           for kind in config.classifiers}
+            cells += [
+                (model, classifiers[kind], _spec_for(config.eps, mode, kappa),
+                 _sigma_for(config, model, value))
+                for value, kind, mode, kappa in group
+            ]
+            built.append((k, model, group))
+    seed, trials, true_class = key
     estimates = iter(_monte_carlo_cells(cells, true_class, trials, seed, threads))
-    return [
-        list(_group_rows(config, model, group, itertools.islice(estimates, len(group))))
-        for config, model, group in built
-    ]
+    rows = [[] for _ in configs]
+    for k, model, group in built:
+        rows[k] += _group_rows(configs[k], model, group, itertools.islice(estimates, len(group)))
+    return rows
 
 
 def _cells_for(config) -> list[tuple]:
@@ -538,11 +557,11 @@ def _cells_for(config) -> list[tuple]:
 
 
 def _cell_groups(config) -> list[tuple]:
-    """(dimension, cells) pairs; the cells of one pair share its noise draws.
+    """(dimension, cells) pairs; the cells of one pair share one model.
 
     One pair for the kappa and eps_over_sigma_sq axes, one per dimension
     on the dimension axis. No sigma is calibrated here: `_group_model` does
-    that when the group is tallied.
+    that when the config is tallied.
     """
     cells = _cells_for(config)
     if config.sweep_axis != SWEEP_DIMENSION:

@@ -42,7 +42,14 @@ def block_plan(trials: int):
 
 
 def noise_block(seed: int, block_index: int, rows: int, dim: int) -> np.ndarray:
-    """Standard normal (rows, dim) block; row r holds trial block*BLOCK_SIZE + r."""
+    """Standard normal (rows, dim) block; row r holds trial block*BLOCK_SIZE + r.
+
+    The substream fills the block in row-major order, so a narrower block is
+    a prefix of a wider one: for d <= D, noise_block(s, b, r, d) equals
+    noise_block(s, b, r, D).ravel()[:r * d].reshape(r, d), bit for bit. The
+    engine draws each block once at a run's widest dimension and reads every
+    narrower one that way.
+    """
     return substream(seed, block_index).standard_normal((rows, dim))
 
 

@@ -301,7 +301,7 @@ def test_criterion_07_clt_convergence_with_dimension():
                 model, GlrtClassifier(model, 1.0),
                 AttackSpec(budget=1.0, strength=kappa,
                            mode=AttackMode.NOISE_AGNOSTIC_HEURISTIC),
-                true_class=0, trials=1_000_000, seed=42,
+                true_class=0, trials=1_000_000, seed=42, threads=2,
             )
             gaps[d] = abs(pred - est.value)
         results.append((kappa, target, gaps[50], gaps[400]))

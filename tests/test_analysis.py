@@ -9,7 +9,6 @@ from robustht.analysis import (
     METHOD_CLT_EXACT,
     METHOD_CLT_LOWER_BOUND,
     METHOD_MONTE_CARLO,
-    DegenerateModelError,
     clt_error,
     cost_difference_moments,
     error_from_snr,
@@ -334,10 +333,12 @@ class TestSnrFormulas:
         pred = clt_error(profile.to_model(sigma), eps, kappa)
         assert error_from_snr(snr) == pytest.approx(pred.value, rel=1e-12)
 
-    def test_zero_variance_degenerate(self):
+    def test_zero_variance_is_the_deterministic_limit(self):
         ma = cost_difference_moments(0.0, 1.0, 1.0, 1.0)
-        with pytest.raises(DegenerateModelError):
-            snr_glrt(10, 0.5, ma, ma)
+        assert ma.variance == 0.0
+        snr = snr_glrt(10, 0.5, ma, ma)
+        assert snr == math.inf
+        assert error_from_snr(snr) == 0.0
 
 
 class TestLowNoiseThresholds:

@@ -10,6 +10,7 @@ import robustht.analysis
 import robustht.attacks
 import robustht.engine
 from robustht import cli
+from robustht.rng import BLOCK_SIZE
 
 CLI = [sys.executable, "-m", "robustht.cli"]
 
@@ -335,6 +336,17 @@ FORMAT_CONTRACT_FILES = {
         "target_error": 0.1,
         "trials": 3000,
     },
+    # unsorted dimensions, none dividing another; p*d must be an integer at each
+    "dimension-config.json": {
+        "profile": {"d": 20, "p": 0.2, "a": 1.1, "b": 0.9, "eps": 1.0},
+        "eps": 1.0,
+        "classifiers": ["glrt", "min-distance"],
+        "attack_modes": ["agnostic", "aware"],
+        "kappas": [0.5],
+        "sweep": {"axis": "dimension", "values": [15, 10, 25]},
+        "target_error": 0.1,
+        "trials": BLOCK_SIZE + 5,
+    },
     "binary-model.json": {"means": [[0.8, -0.3], [-0.8, 0.3]], "sigma": 0.5},
     "ternary-3d-model.json": {"means": [[0.0, 0.0, 0.0], [1.0, 0.5, -0.5], [-0.5, -1.0, 0.5]],
                               "sigma": 0.6},
@@ -351,6 +363,16 @@ FORMAT_CONTRACT = {
     ("simulate", "profile-config.json"): (
         "5b257989ad9ef3d58445454599d48682d72c4738d9aeac8eaa4379b14411c973",
         "4c59dbfaf28d29407243df2ec349566aa593d9c8dacb37ba9003f0d8ef2d358a"),
+    # a dimension sweep over two noise blocks, the second of 5 rows
+    ("simulate", "dimension-config.json", "--threads", "1"): (
+        "d0d9b1ed17dfe7aed2f47c47030be7d545d826af5ee8ee45a718e8a405c7ecac",
+        "321d058775a2cfb3c945dd881aeb2d3e04fa397dbacc7e96120383b64cfe70a1"),
+    ("simulate", "dimension-config.json", "--threads", "2"): (
+        "d0d9b1ed17dfe7aed2f47c47030be7d545d826af5ee8ee45a718e8a405c7ecac",
+        "321d058775a2cfb3c945dd881aeb2d3e04fa397dbacc7e96120383b64cfe70a1"),
+    ("reproduce", "fig5", "--trials", str(BLOCK_SIZE + 5), "--threads", "2"): (
+        "c919bb893e4e93a5760f793cb327eca3e74089a1bff5af1eec8762f9407f7313",
+        "d2de013f5cae34e18bc738d4d239fa9b65362a6e1863c1212284f7f8be2a5b14"),
     ("attack-surface", "--model", "binary-model.json", "--eps", "0.5", "--grid", "5",
      "--trials", "2000"): (
         "2b6d84ce91a782f93e2b08d44944b07ca5002b44aafc40b4ec32c0e90613e863",
@@ -371,6 +393,11 @@ FORMAT_CONTRACT = {
      "--sigma", "1", "--kappa", "0,0.5,1,1.5", "--format", "json"): (
         "201cc0e816681252a1a1e6d173fb751fc32abc799ec1be7bc92f4667fd3c9c90",
         "bbdbd0bcb42b75fce3e1a6a6db82e77857bfae0e998594b4af604c4b4ce3da55"),
+    # every level variance rounds to a positive number (at 1e-9 they are 0)
+    ("predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+     "--kappa", "0,0.5,1", "--sigma", "3e-9"): (
+        "841042746fb156ad32b27f5b76adbe3a52c677ff18e6d79b3d6ede1f9c7ca019",
+        "56db37b4f1d762310a8d4413a74b63d5e1f3b60073f2ede934d6a683bb85b5a5"),
     ("reproduce", "fig2", "--trials", "2000", "--format", "json"): (
         "29c1a2bc5ecee9b70574034379c633940bce822dcf357730af454b8e7ea9583b",
         "1e29ae5c75bbb19d8273394b25b4e7dd1825c8126bd3047eab1ebf2dd0d14939"),
@@ -588,9 +615,21 @@ def test_predict_sigma_where_the_lower_bound_variance_rounds_below_zero(tmp_path
     assert len(out.read_text().splitlines()) == 1 + 3 * 4 + 1
 
 
-@pytest.mark.parametrize("sigma", ["1e-9", "1e-300", "1e300", "0", "-1", "nan", "inf"],
-                         ids=["zero-variance-sum", "snr-overflow", "moment-overflow", "zero",
-                              "negative", "nan", "inf"])
+def test_predict_sigma_where_every_level_variance_is_zero(tmp_path):
+    # every row takes its deterministic limit: the statistic is a constant
+    # whose mean sum is >= 0, so no attack within the budget flips it
+    out = tmp_path / "out.csv"
+    argv = ["predict", "--d", "20", "--p", "0.1", "--a", "1.1", "--b", "0.9", "--eps", "1",
+            "--kappa", "0,0.5,1", "--sigma", "1e-9", "--out", str(out)]
+    assert cli.main(argv) == 0
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 3 * 4
+    assert {row.split(",")[5] for row in rows} == {"0"}
+
+
+@pytest.mark.parametrize("sigma", ["1e-300", "1e300", "0", "-1", "nan", "inf"],
+                         ids=["snr-overflow", "moment-overflow", "zero", "negative", "nan",
+                              "inf"])
 def test_predict_sigma_without_finite_prediction_rejected_before_output(
         tmp_path, monkeypatch, capsys, sigma):
     message = _rejected_before_sampling(monkeypatch, capsys, tmp_path,

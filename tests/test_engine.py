@@ -1,6 +1,7 @@
 import collections
 import functools
 import hashlib
+import itertools
 import math
 import weakref
 
@@ -71,6 +72,15 @@ class TestNoiseStreams:
         full = noise_block(5, 0, 100, 3)
         part = noise_block(5, 0, 40, 3)
         np.testing.assert_array_equal(part, full[:40])
+
+    @pytest.mark.parametrize("dim, wide", [(50, 400), (7, 400), (1, 2)])
+    def test_narrow_block_is_prefix_of_wide_block(self, dim, wide):
+        # the engine reads each narrower dimension of a run from its widest draw
+        for seed, block, rows in itertools.product((0, 31, 2**63 + 5), (0, 3),
+                                                   (1, 1696, BLOCK_SIZE)):
+            prefix = noise_block(seed, block, rows, wide).ravel()[:rows * dim]
+            narrow = noise_block(seed, block, rows, dim)
+            assert narrow.tobytes() == prefix.reshape(rows, dim).tobytes()
 
     def test_sum_over_blocks_does_not_depend_on_threads(self):
         # float sums expose any change in the order the blocks are added
@@ -239,15 +249,22 @@ class TestSingleDraw:
             trials=1000,
         )
         run_experiment(config)
-        assert [(b, dim) for _, b, _, dim in draws] == [(0, 20), (0, 40)]
+        # both dimensions read one draw at the wider
+        assert [(b, dim) for _, b, _, dim in draws] == [(0, 40)]
 
     def test_reproduce_fig5_draws_each_block_once(self, draws, tmp_path):
-        # the kappa = 1 and kappa = 0.8 studies share seed, trials and dimensions
-        code = cli.main(["reproduce", "fig5", "--trials", "1000",
+        # the kappa = 1 and kappa = 0.8 studies share seed and trials, and all
+        # four dimensions read one draw at the widest
+        code = cli.main(["reproduce", "fig5", "--trials", "1000", "--seed", "3",
                          "--out", str(tmp_path / "fig5.csv")])
         assert code == 0
-        assert len(draws) == len(set(draws)) == 4
-        assert sorted(dim for _, _, _, dim in draws) == [50, 100, 200, 400]
+        assert draws == [(3, 0, 1000, 400)]
+
+    def test_reproduce_fig5_draws_each_block_once_on_threads(self, draws, tmp_path):
+        code = cli.main(["reproduce", "fig5", "--trials", str(BLOCK_SIZE + 5), "--seed", "3",
+                         "--threads", "2", "--out", str(tmp_path / "fig5.csv")])
+        assert code == 0
+        assert sorted(draws) == [(3, 0, BLOCK_SIZE, 400), (3, 1, 5, 400)]
 
 
 class TestCountBlockTiles:
@@ -545,8 +562,8 @@ class TestRunExperiment:
         assert seen == result.rows
 
     def test_configs_of_one_run_keep_their_rows_in_order(self, monkeypatch):
-        # a config's rows stream as each of its groups finishes; the second
-        # config's rows, tallied on the same draws, wait for the first config
+        # both configs and both dimensions are tallied on one draw at d = 40;
+        # the rows then come config by config, each config's in its own order
         configs = [dimension_sweep_config(trials=2000, kappas=[k]) for k in (1.0, 0.8)]
         events = []
         real = robustht.engine.noise_block
@@ -559,8 +576,8 @@ class TestRunExperiment:
         run_experiments(configs, row_sink=lambda row: events.append(
             ("row", row["kappa"], row["sweep_value"])))
         assert events == [
-            ("draw", 20), ("row", 1.0, 20), ("row", 1.0, 20),
-            ("draw", 40), ("row", 1.0, 40), ("row", 1.0, 40),
+            ("draw", 40),
+            ("row", 1.0, 20), ("row", 1.0, 20), ("row", 1.0, 40), ("row", 1.0, 40),
             ("row", 0.8, 20), ("row", 0.8, 20), ("row", 0.8, 40), ("row", 0.8, 40),
         ]
         seen = []
