@@ -47,8 +47,6 @@ from .numerics import (  # noqa: F401
 from .rng import noise_block, sum_over_blocks
 
 __all__ = [
-    "MOMENTS_EXACT_C",
-    "MOMENTS_LOWER_BOUND_Y",
     "METHOD_MONTE_CARLO",
     "METHOD_CLT_EXACT",
     "METHOD_CLT_LOWER_BOUND",
@@ -68,9 +66,6 @@ __all__ = [
     "moment_study",
 ]
 
-MOMENTS_EXACT_C = "exact-c"
-MOMENTS_LOWER_BOUND_Y = "y-lower-bound"
-
 METHOD_MONTE_CARLO = "monte-carlo"
 METHOD_CLT_EXACT = "clt-analytic"
 METHOD_CLT_LOWER_BOUND = "clt-lower-bound"
@@ -87,7 +82,6 @@ class CoordinateMoments:
 
     mean: float
     variance: float
-    kind: str
 
     def __post_init__(self):
         if not (math.isfinite(self.mean) and math.isfinite(self.variance)):
@@ -143,7 +137,7 @@ def y_bound_moments(mu: float, eps: float, kappa: float, sigma: float) -> Coordi
     second += sigma * t * pdf * (t * t + 3.0 * s2)
     # below sigma ~ 5e-9 the difference can round below 0, as cost_difference_moments' can
     variance = max(0.0, second - mean * mean)
-    return CoordinateMoments(mean=mean, variance=variance, kind=MOMENTS_LOWER_BOUND_Y)
+    return CoordinateMoments(mean=mean, variance=variance)
 
 
 def _piecewise_cost_polys(mu_abs: float, eps: float, kappa: float):
@@ -247,7 +241,7 @@ def cost_difference_moments(
     """
     _check_attack_params(eps, kappa, sigma)
     [(mean, variance)] = _CostPieces([mu], eps, kappa).moments(sigma)
-    return CoordinateMoments(mean=mean, variance=variance, kind=MOMENTS_EXACT_C)
+    return CoordinateMoments(mean=mean, variance=variance)
 
 
 def _binary_half_difference(model: HypothesisModel) -> np.ndarray:

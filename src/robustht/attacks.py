@@ -274,12 +274,6 @@ class ErrorSurface:
     def max_error(self) -> float:
         return float(self.errors.max())
 
-    def iter_rows(self):
-        """Yield (attack_vector, error) in row-major grid order."""
-        for idx in np.ndindex(self.errors.shape):
-            e = np.array([self.axes[i][idx[i]] for i in range(len(self.axes))])
-            yield e, float(self.errors[idx])
-
 
 def brute_force_attack_oracle(
     model: HypothesisModel,
@@ -387,20 +381,12 @@ def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
                 contrib = contrib + orient * rule.offset
             tables.append(contrib)
 
-    shape = tuple(len(a) for a in axes)
-    counts = np.zeros(shape, dtype=np.int64)
-    if len(axes) == 1:
-        counts[:] = _error_mask(tables[0], j).sum(axis=1)
-    elif len(axes) == 2:
-        for a in range(shape[0]):
-            s = tables[0][a][None, :] + tables[1]
-            counts[a, :] = _error_mask(s, j).sum(axis=1)
-    else:
-        for a in range(shape[0]):
-            s_a = tables[0][a][None, :] + tables[1]  # (g2, trials)
-            for b in range(shape[1]):
-                s = s_a[b][None, :] + tables[2]
-                counts[a, b, :] = _error_mask(s, j).sum(axis=1)
+    # each point of the leading axes adds its rows in axis order, then the
+    # last axis's whole table
+    counts = np.zeros(tuple(len(a) for a in axes), dtype=np.int64)
+    for lead in np.ndindex(counts.shape[:-1]):
+        s = sum(tables[i][a] for i, a in enumerate(lead)) + tables[-1]
+        counts[lead] = _error_mask(s, j).sum(axis=1)
     return counts
 
 

@@ -317,24 +317,26 @@ def _cmd_surface(args) -> int:
 def _write_surface(surface, model, args) -> None:
     """The surface as JSON rows through `_write_rows`, or as one CSV pass.
 
-    The CSV formats each axis value once and streams the rows into the
-    buffered file without a flush per row: the surface is complete before
-    its first row is written.
+    Both walk the grid points in row-major order, the attacks from one
+    product of the axis lists. The CSV formats each axis value once and
+    streams the rows into the buffered file without a flush per row: the
+    surface is complete before its first row is written.
     """
+    axes = [axis.tolist() for axis in surface.axes]
+    errors = surface.errors.ravel().tolist()
     if args.format == "json":
         def run(sink):
-            for e, err in surface.iter_rows():
-                sink({"attack": e.tolist(), "error": err})
+            for attack, err in zip(itertools.product(*axes), errors):
+                sink({"attack": list(attack), "error": err})
             return _surface_metadata(surface, model)
 
         _write_rows(args, None, None, run)
         return
-    axes = [[_fmt(v) for v in axis.tolist()] for axis in surface.axes]
-    errors = map(_fmt, surface.errors.ravel().tolist())
+    columns = [[_fmt(v) for v in axis] for axis in axes]
     with _open_out(args) as fh:
         fh.write(",".join(f"e{i + 1}" for i in range(model.dim)) + ",error\n")
-        fh.writelines(",".join((*attack, err)) + "\n"
-                      for attack, err in zip(itertools.product(*axes), errors))
+        fh.writelines(",".join((*attack, _fmt(err))) + "\n"
+                      for attack, err in zip(itertools.product(*columns), errors))
     if args.out is not None:
         _write_sidecar(args.out, _surface_metadata(surface, model))
 

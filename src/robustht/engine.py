@@ -13,6 +13,11 @@ per run. The block is drawn at the widest dimension of the cells that
 share it, and a narrower cell reads its block as a prefix of that draw,
 so a dimension sweep's rows are all final, and arrive, after its last
 block.
+A sweep's points come from one generator, `_sweep_points`: each point's
+value, its classifiers (built once per model), its sigma (calibrated per
+dimension on the dimension axis) and its distinct (classifier, attack mode,
+kappa) cells. `_tally_configs` turns the cells of every point into Monte
+Carlo cells and the estimates back into rows, in sweep order.
 Each cell's attack is resolved once to replays (`_attack_plan`). Cells that
 see the same observations (same model, classifier, true class and sigma)
 decide each of their distinct attacks once per row tile, and every cell
@@ -294,8 +299,13 @@ class ExperimentConfig:
                 raise ConfigError("sweep.axis=dimension requires a profile, not a model")
             if self.target_error is None:
                 raise ConfigError("sweep.axis=dimension requires target_error")
-            if any(int(v) != v or v < 1 for v in self.sweep_values):
+            if any(not float(v).is_integer() or v < 1 for v in self.sweep_values):
                 raise ConfigError("sweep.values: dimensions must be positive integers")
+            for value in self.sweep_values:
+                try:
+                    self.profile.with_dimension(int(value))
+                except ValueError as exc:
+                    raise ConfigError(f"sweep.values: {exc}") from None
             if len(self.kappas) != 1:
                 raise ConfigError(f"kappas: the dimension axis takes one value, got {self.kappas}")
             if self.profile.eps != self.eps:
@@ -464,15 +474,16 @@ def run_experiment(config: ExperimentConfig, threads: int = 1, row_sink=None) ->
 def run_experiments(configs, threads: int = 1, row_sink=None) -> list[ExperimentResult]:
     """Execute several sweeps as one run, one result per config.
 
-    Every config is validated before any noise is drawn. The cell groups
-    of all configs that share (seed, trials, true_class) are tallied
-    together on one draw of each noise block, at their widest dimension,
-    so common random numbers span configs and dimensions and no block is
-    drawn twice. Rows come out config by config, each config's in its own
-    order: row_sink receives the rows of the config being run once the
-    last block of their draw is tallied (for a dimension sweep, all of its
-    rows at once), and holds rows of a later config, tallied early, until
-    every config before it is done.
+    Every config is validated before any noise is drawn. The configs that
+    share (seed, trials, true_class) have every point of their
+    `_sweep_points` resolved, and then their cells tallied together on one
+    draw of each noise block at their widest dimension, so common random
+    numbers span configs and dimensions and no block is drawn twice. Rows
+    come out config by config, each config's in its own order: row_sink
+    receives the rows of the config being run once the last block of
+    their draw is tallied (for a dimension sweep, all of its rows at
+    once), and holds rows of a later config, tallied early, until every
+    config before it is done.
     """
     configs = list(configs)
     for config in configs:
@@ -506,9 +517,9 @@ def run_experiments(configs, threads: int = 1, row_sink=None) -> list[Experiment
 def _noise_key(config) -> tuple:
     """What decides a config's noise draws; configs with equal keys share them.
 
-    The dimension is not part of it: every cell group of one key, whatever
+    The dimension is not part of it: every sweep point of one key, whatever
     its dimension, is tallied on one draw of each block at the widest of
-    them, and the narrower groups read their blocks as prefixes of it.
+    them, and the narrower points read their blocks as prefixes of it.
     """
     return (config.seed, config.trials, config.true_class)
 
@@ -516,101 +527,78 @@ def _noise_key(config) -> tuple:
 def _tally_configs(configs, key, threads) -> list[list[dict]]:
     """Rows of each config, all tallied on the draws of their one noise key.
 
-    Every cell group's sigma is calibrated before the first block is drawn.
+    Every config's `_sweep_points` are resolved, and so every sigma is
+    calibrated, before the first block is drawn. On the dimension axis
+    each sweep point's GLRT Monte Carlo rows are followed by the CLT
+    prediction, which models the agnostic sign attack.
     """
-    built = []
-    cells = []
-    for k, config in enumerate(configs):
-        for dim, group in _cell_groups(config):
-            model = _group_model(config, dim)
-            classifiers = {kind: build_classifier(kind, model, config.eps)
-                           for kind in config.classifiers}
-            cells += [
-                (model, classifiers[kind], _spec_for(config.eps, mode, kappa),
-                 _sigma_for(config, model, value))
-                for value, kind, mode, kappa in group
-            ]
-            built.append((k, model, group))
+    points = [(k, point) for k, config in enumerate(configs) for point in _sweep_points(config)]
+    cells = [
+        (classifiers[kind].model, classifiers[kind], _spec_for(configs[k].eps, mode, kappa), sigma)
+        for k, (_, classifiers, sigma, point_cells) in points
+        for kind, mode, kappa in point_cells
+    ]
     seed, trials, true_class = key
     estimates = iter(_monte_carlo_cells(cells, true_class, trials, seed, threads))
     rows = [[] for _ in configs]
-    for k, model, group in built:
-        rows[k] += _group_rows(configs[k], model, group, itertools.islice(estimates, len(group)))
+    for k, (value, classifiers, _, point_cells) in points:
+        config = configs[k]
+        for kind, kind_cells in itertools.groupby(point_cells, key=lambda cell: cell[0]):
+            for _, mode, kappa in kind_cells:
+                err, ci, rej = next(estimates)
+                rows[k].append(sweep_row(
+                    config.sweep_axis, value, kind, mode, kappa, err, METHOD_MONTE_CARLO,
+                    config.seed, ci=ci,
+                    reject_rate=rej if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR else None,
+                ))
+            if config.sweep_axis == SWEEP_DIMENSION and kind is ClassifierKind.GLRT:
+                [kappa] = config.resolved_kappas()
+                rows[k].append(sweep_row(
+                    config.sweep_axis, value, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC, kappa,
+                    clt_error(classifiers[kind].model, config.eps, kappa).value,
+                    METHOD_CLT_EXACT, config.seed,
+                ))
     return rows
 
 
-def _cells_for(config) -> list[tuple]:
-    """(sweep_value, kind, mode, kappa) grid, kappa resolved per axis."""
-    cells = []
-    for value in config.sweep_values:
-        if config.sweep_axis == SWEEP_DIMENSION:
-            value = int(value)
-        kappa_list = [value] if config.sweep_axis == SWEEP_KAPPA else config.resolved_kappas()
-        for kind in config.classifiers:
-            for mode in config.attack_modes:
-                for kappa in kappa_list:
-                    if mode is AttackMode.NONE:
-                        kappa = 0.0
-                    cells.append((value, kind, mode, kappa))
-    # NONE mode ignores kappa; drop duplicate cells it would create
-    return list(dict.fromkeys(cells))
+def _sweep_points(config):
+    """(value, classifiers, sigma, cells) of each sweep point, in sweep order.
 
-
-def _cell_groups(config) -> list[tuple]:
-    """(dimension, cells) pairs; the cells of one pair share one model.
-
-    One pair for the kappa and eps_over_sigma_sq axes, one per dimension
-    on the dimension axis. No sigma is calibrated here: `_group_model` does
-    that when the config is tallied.
+    classifiers maps each kind to its classifier, built once per model: one
+    model serves the whole sweep, except on the dimension axis, where each
+    point calibrates its own sigma to target_error. cells holds the point's
+    distinct (kind, mode, kappa) in first-seen order, kappa 0 for the none
+    mode, and a repeated sweep value yields no second point.
     """
-    cells = _cells_for(config)
-    if config.sweep_axis != SWEEP_DIMENSION:
-        return [(config.resolved_model().dim, cells)]
-    return [(d, list(group)) for d, group in itertools.groupby(cells, key=lambda cell: cell[0])]
+    axis = config.sweep_axis
 
+    def build(model):
+        return {kind: build_classifier(kind, model, config.eps) for kind in config.classifiers}
 
-def _group_model(config, dim) -> HypothesisModel:
-    """The model of one cell group; the dimension axis calibrates sigma per dimension."""
-    if config.sweep_axis != SWEEP_DIMENSION:
-        return config.resolved_model()
-    [kappa] = config.resolved_kappas()
-    profile = config.profile.with_dimension(dim)
-    sigma = sigma_for_target_error(
-        profile, kappa, config.target_error,
-        method=config.calibration_method, seed=config.seed,
-    )
-    return profile.to_model(sigma)
-
-
-def _sigma_for(config, model, value) -> float:
-    if config.sweep_axis == SWEEP_EPS_OVER_SIGMA_SQ:
-        return config.eps / math.sqrt(value)
-    return model.sigma
+    if axis == SWEEP_DIMENSION:
+        values = dict.fromkeys(int(value) for value in config.sweep_values)
+    else:
+        values = dict.fromkeys(config.sweep_values)
+        model = config.resolved_model()
+        classifiers = build(model)
+    for value in values:
+        kappas = [value] if axis == SWEEP_KAPPA else config.resolved_kappas()
+        if axis == SWEEP_DIMENSION:
+            profile = config.profile.with_dimension(value)
+            model = profile.to_model(sigma_for_target_error(
+                profile, kappas[0], config.target_error,
+                method=config.calibration_method, seed=config.seed,
+            ))
+            classifiers = build(model)
+        sigma = config.eps / math.sqrt(value) if axis == SWEEP_EPS_OVER_SIGMA_SQ else model.sigma
+        cells = dict.fromkeys(
+            (kind, mode, 0.0 if mode is AttackMode.NONE else kappa)
+            for kind in config.classifiers for mode in config.attack_modes for kappa in kappas
+        )
+        yield value, classifiers, sigma, list(cells)
 
 
 def _spec_for(eps: float, mode: AttackMode, kappa: float) -> AttackSpec:
     if mode is AttackMode.NONE:
         return AttackSpec.none()
     return AttackSpec(budget=eps, strength=kappa, mode=mode)
-
-
-def _group_rows(config, model, cells, estimates):
-    """Rows of one cell group, in cell order.
-
-    On the dimension axis each sweep point's GLRT Monte Carlo rows are
-    followed by the CLT prediction, which models the agnostic sign attack.
-    """
-    estimated = zip(cells, estimates)
-    for (value, kind), block in itertools.groupby(estimated, key=lambda pair: pair[0][:2]):
-        for (_, _, mode, kappa), (err, ci, rej) in block:
-            yield sweep_row(
-                config.sweep_axis, value, kind, mode, kappa, err, METHOD_MONTE_CARLO,
-                config.seed, ci=ci,
-                reject_rate=rej if kind is ClassifierKind.PAIRWISE_ROBUST_LINEAR else None,
-            )
-        if config.sweep_axis == SWEEP_DIMENSION and kind is ClassifierKind.GLRT:
-            [kappa] = config.resolved_kappas()
-            yield sweep_row(
-                config.sweep_axis, value, kind, AttackMode.NOISE_AGNOSTIC_HEURISTIC, kappa,
-                clt_error(model, config.eps, kappa).value, METHOD_CLT_EXACT, config.seed,
-            )

@@ -494,13 +494,3 @@ class TestBruteForceOracle:
         clf = GlrtClassifier(m, eps=0.5)
         with pytest.raises(UnsupportedDimensionError):
             brute_force_attack_oracle(m, clf, 0, eps=0.5)
-
-    def test_iter_rows_order_and_count(self):
-        m = HypothesisModel.symmetric_binary(np.array([1.0, 1.0]), 1.0)
-        clf = GlrtClassifier(m, eps=0.5)
-        surf = brute_force_attack_oracle(m, clf, 0, eps=0.5,
-                                         grid_points_per_axis=3, trials=500, seed=0)
-        rows = list(surf.iter_rows())
-        assert len(rows) == 9
-        np.testing.assert_array_equal(rows[0][0], np.array([-0.5, -0.5]))
-        np.testing.assert_array_equal(rows[-1][0], np.array([0.5, 0.5]))

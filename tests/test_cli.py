@@ -523,6 +523,19 @@ def test_true_class_out_of_range_rejected_before_sampling(
     assert "true_class" in message
 
 
+@pytest.mark.parametrize("value, reason", [
+    (13, "d = 13"),  # p = 0.1 puts 1.3 coordinates at the strong level
+    (float("inf"), "positive integers"),
+    (float("nan"), "positive integers"),
+], ids=["fractional-strong-count", "infinite", "nan"])
+def test_bad_dimension_rejected_before_sampling(tmp_path, monkeypatch, capsys, value, reason):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**_DIMENSION_CONFIG, "sweep": {"axis": "dimension",
+                                                               "values": [20, value]}}))
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, ["simulate", str(path)])
+    assert message.startswith("sweep.values:") and reason in message
+
+
 @pytest.mark.parametrize("field, patch", [
     ("sweep.values", {"eps": 1.0, "sweep": {"axis": "kappa", "values": [1.5]}}),
     ("sweep.values", {"sweep": {"axis": "kappa", "values": ["x"]}}),

@@ -635,6 +635,36 @@ class TestRunExperiment:
             assert (row["reject_rate"] is not None) == (row["classifier"] == "prl")
             assert row["kappa"] == (0.0 if row["attack_mode"] == "none" else 0.7)
 
+    @pytest.mark.parametrize("case", ["kappa-values", "kappas", "none-mode", "dimension"])
+    def test_duplicate_cells_are_run_once(self, case, monkeypatch):
+        # a duplicate sweep value or kappa adds no row and no calibration, and
+        # the first-seen order of the remaining cells is kept
+        if case == "kappa-values":
+            config, unique = (kappa_sweep_config(trials=2000, sweep_values=values)
+                              for values in ([0.5, 0.0, 0.5], [0.5, 0.0]))
+        elif case == "kappas":
+            config, unique = (kappa_sweep_config(trials=2000, sigma=None, kappas=kappas,
+                                                 sweep_axis="eps_over_sigma_sq",
+                                                 sweep_values=[2.0, 1.0])
+                              for kappas in ([0.5, 0.5], [0.5]))
+        elif case == "none-mode":
+            config, unique = (kappa_sweep_config(trials=2000, sigma=None, kappas=kappas,
+                                                 attack_modes=[AttackMode.NONE],
+                                                 sweep_axis="eps_over_sigma_sq",
+                                                 sweep_values=[1.0])
+                              for kappas in ([0.3, 0.7], [0.3]))
+        else:
+            config, unique = (dimension_sweep_config(trials=2000, sweep_values=values)
+                              for values in ([20, 40, 20], [20, 40]))
+        calls = []
+        real = robustht.engine.sigma_for_target_error
+        monkeypatch.setattr(robustht.engine, "sigma_for_target_error",
+                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+        lines = [format_row(row) for row in run_experiment(config).rows]
+        if case == "dimension":
+            assert len(calls) == 2
+        assert lines == [format_row(row) for row in run_experiment(unique).rows]
+
     def test_format_row_stable(self):
         row = {
             "sweep_axis": "kappa", "sweep_value": 0.5, "classifier": "glrt",
