@@ -205,8 +205,8 @@ class _CostPieces:
              if c0 or c1 or c2]
             for mu in levels]
 
-    def moments(self, sigma: float) -> list[tuple[float, float]]:
-        """(mean, variance) of C at each level, the variance clamped at 0."""
+    def moments(self, sigma: float) -> list[CoordinateMoments]:
+        """The CoordinateMoments of C at each level, the variance clamped at 0."""
         ends = dict(_INFINITE_ENDS)
         out = []
         for pieces in self.levels:
@@ -222,10 +222,7 @@ class _CostPieces:
                 m0, m1, m2, m3, m4 = truncated_moments_between(sigma, lo_end, hi_end)
                 mean += c0 * m0 + c1 * m1 + c2 * m2
                 second += k0 * m0 + k1 * m1 + k2 * m2 + k3 * m3 + k4 * m4
-            variance = max(0.0, second - mean * mean)
-            if not (math.isfinite(mean) and math.isfinite(variance)):
-                raise ValueError("moments must be finite")
-            out.append((mean, variance))
+            out.append(CoordinateMoments(mean=mean, variance=max(0.0, second - mean * mean)))
         return out
 
 
@@ -240,8 +237,8 @@ def cost_difference_moments(
     sign flip of the coordinate.
     """
     _check_attack_params(eps, kappa, sigma)
-    [(mean, variance)] = _CostPieces([mu], eps, kappa).moments(sigma)
-    return CoordinateMoments(mean=mean, variance=variance)
+    [moments] = _CostPieces([mu], eps, kappa).moments(sigma)
+    return moments
 
 
 def _binary_half_difference(model: HypothesisModel) -> np.ndarray:
@@ -252,39 +249,32 @@ def _binary_half_difference(model: HypothesisModel) -> np.ndarray:
     return pairwise_half_difference(model, 0, 1)
 
 
-def clt_error(
-    model: HypothesisModel, eps: float, kappa: float, use_lower_bound: bool = False
-) -> ErrorEstimate:
+def clt_error(model: HypothesisModel, eps: float, kappa: float) -> ErrorEstimate:
     """CLT estimate of the binary soft-threshold rule's error under a sign attack.
 
     Asymmetric means are recentred to the half-difference vector first.
-    With exact per-coordinate moments the estimate is Q(sum m / sqrt(sum
-    rho^2)); with the lower-bound moments the pre-CLT quantity upper-bounds
-    the true error. A zero variance sum is the deterministic limit: the
-    statistic is then a constant, and ties favor the true class.
+    The estimate is Q(sum m / sqrt(sum rho^2)) from the exact moments of
+    C at each distinct level |h_i|, one `_CostPieces` table over all of
+    them; `predict`'s clt-lower-bound row is the same CLT on the moments
+    of Y. A zero variance sum is the deterministic limit: the statistic is
+    then a constant, and ties favor the true class.
     """
     half = _binary_half_difference(model)
+    check_eps(eps, kappa)
     levels, counts = np.unique(np.abs(half), return_counts=True)
-    moment_fn = y_bound_moments if use_lower_bound else cost_difference_moments
-    moments = [moment_fn(float(value), eps, kappa, model.sigma) for value in levels]
-    method = METHOD_CLT_LOWER_BOUND if use_lower_bound else METHOD_CLT_EXACT
-    return _clt_error_from_moments(moments, counts, method)
-
-
-def _clt_error_from_moments(moments, counts, method: str) -> ErrorEstimate:
-    """The CLT estimate from each level's moments, `counts[i]` coordinates at level i."""
-    value = _clt_value([(m.mean, m.variance) for m in moments], counts)
-    return ErrorEstimate(value=value, method=method)
+    value = _clt_value(_CostPieces(levels, eps, kappa).moments(model.sigma), counts)
+    return ErrorEstimate(value=value, method=METHOD_CLT_EXACT)
 
 
 def _clt_value(moments, counts) -> float:
-    """Q(sum of means / sqrt(sum of variances)) over (mean, variance) pairs per level,
-    summed in level order; the deterministic limit when the variance sum is 0."""
+    """Q(sum of means / sqrt(sum of variances)) over the CoordinateMoments of
+    each level, counts[i] coordinates at level i, summed in level order; the
+    deterministic limit when the variance sum is 0."""
     mean_sum = 0.0
     var_sum = 0.0
-    for (mean, variance), count in zip(moments, counts):
-        mean_sum += count * mean
-        var_sum += count * variance
+    for m, count in zip(moments, counts):
+        mean_sum += count * m.mean
+        var_sum += count * m.variance
     if var_sum <= 0.0:
         return 0.0 if mean_sum >= 0 else 1.0
     return q_function(mean_sum / math.sqrt(var_sum))

@@ -204,23 +204,23 @@ def sign_replays(model: HypothesisModel, true_class: int, strength: float) -> di
     return replays
 
 
-def noise_aware_labels(true_class: int, rivals, decided) -> tuple[np.ndarray, np.ndarray]:
+def noise_aware_labels(true_class: int, decided) -> np.ndarray:
     """Labels under a replay of attacks, one row per noise draw.
 
-    decided[i] holds the labels of the observations under the attack toward
-    rivals[i]. Each row starts from the first replay's label and takes the
-    first later replay whose label leaves the true class (REJECT counts as
-    leaving), even where the first already misclassifies it. One replay is
-    a fixed attack; the `sign_replays` are the optimal noise-aware attack.
-    Returns (labels, targets): the chosen replay's labels and its rival.
+    decided[i] holds the labels of the observations under the i-th replay.
+    Each row starts from the first replay's label and takes the first later
+    replay whose label leaves the true class (REJECT counts as leaving),
+    even where the first already misclassifies it. One replay is a fixed
+    attack, whose labels are decided[0] itself, not a copy; the
+    `sign_replays` are the optimal noise-aware attack.
     """
-    labels, targets = decided[0].copy(), np.full(len(decided[0]), rivals[0])
+    if len(decided) == 1:
+        return decided[0]
+    labels = decided[0].copy()
     # the last replay first, so that the first one that leaves is applied last
-    for k, flipped in reversed(list(zip(rivals[1:], decided[1:]))):
-        leaves = flipped != true_class
-        np.copyto(labels, flipped, where=leaves)
-        targets[leaves] = k
-    return labels, targets
+    for flipped in reversed(decided[1:]):
+        np.copyto(labels, flipped, where=flipped != true_class)
+    return labels
 
 
 def noise_aware_attack(
@@ -232,9 +232,10 @@ def noise_aware_attack(
 ) -> AttackResult:
     """Optimal noise-aware attack of the given l-infinity magnitude.
 
-    The one-row view of `noise_aware_labels` over the `sign_replays`. If no
-    sign attack leaves the true class, misclassification is not achievable
-    with this procedure and the zero attack is returned with feasible False.
+    The one-row view of `noise_aware_labels` over the `sign_replays`: the
+    target is the first later replay whose label leaves the true class. If
+    none does, misclassification is not achievable with this procedure and
+    the zero attack is returned with feasible False.
     """
     noise = np.asarray(observation_noise, dtype=float)
     if noise.shape != (model.dim,):
@@ -243,8 +244,7 @@ def noise_aware_attack(
     base = model.means[j] + noise[None, :]
     replays = sign_replays(model, j, strength)
     decided = classifier.decide_attacks(base, list(replays.values()))
-    _, targets = noise_aware_labels(j, list(replays), decided)
-    k = int(targets[0])
+    k = next((k for k, labels in zip(list(replays)[1:], decided[1:]) if labels[0] != j), -1)
     return AttackResult(vector=replays[k], feasible=k >= 0, target_class=k if k >= 0 else None)
 
 
@@ -344,9 +344,10 @@ def brute_force_attack_oracle(
     )
 
 
-def _error_mask(stat: np.ndarray, j: int) -> np.ndarray:
-    # stat = wrong-class cost minus true-class cost; ties go to the lower index
-    return stat < 0 if j == 0 else stat <= 0
+def _beats(k: int, j: int):
+    """The comparison under which class k's cost beats class j's: the
+    decision kernel's tie rule, in which the lower index wins ties."""
+    return np.less_equal if k < j else np.less
 
 
 def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
@@ -386,7 +387,9 @@ def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     counts = np.zeros(tuple(len(a) for a in axes), dtype=np.int64)
     for lead in np.ndindex(counts.shape[:-1]):
         s = sum(tables[i][a] for i, a in enumerate(lead)) + tables[-1]
-        counts[lead] = _error_mask(s, j).sum(axis=1)
+        # s is the other class's cost minus class j's (minimax: its statistic
+        # oriented toward class j)
+        counts[lead] = _beats(other, j)(s, 0.0).sum(axis=1)
     return counts
 
 
@@ -451,9 +454,7 @@ def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
                 np.take(t[k], idx, out=col[:n, 0], mode="clip")
             _add_lead_terms(cost, [col[:n] for col in cols], cost)
             if k != j:
-                # the kernel's lowest-index tie rule: an earlier class wins ties
-                # with class j, a later one must be strictly cheaper
-                (np.less_equal if k < j else np.less)(cost, own[:n], out=beaten[:n])
+                _beats(k, j)(cost, own[:n], out=beaten[:n])
                 wrong[:n] |= beaten[:n]
         counts[lead] = settled_wrong + np.count_nonzero(wrong[:n], axis=0)
     return counts
@@ -486,12 +487,9 @@ def _rows_to_sweep(lower, upper, j):
     wrong = np.zeros(lower.shape[1], dtype=bool)
     right = np.ones(lower.shape[1], dtype=bool)
     for k in range(len(lower)):
-        if k < j:
-            wrong |= upper[k] <= lower[j]
-            right &= lower[k] > upper[j]
-        elif k > j:
-            wrong |= upper[k] < lower[j]
-            right &= lower[k] >= upper[j]
+        if k != j:
+            wrong |= _beats(k, j)(upper[k], lower[j])
+            right &= _beats(j, k)(upper[j], lower[k])
     return np.count_nonzero(wrong), np.flatnonzero(~(wrong | right))
 
 

@@ -27,7 +27,7 @@ from .analysis import (
     METHOD_MONTE_CARLO,
     METHOD_Q_OF_SNR,
     MOMENT_COLUMNS,
-    _clt_error_from_moments,
+    _clt_value,
     cost_difference_moments,
     error_from_snr,
     moment_study,
@@ -285,12 +285,10 @@ def _predict_rows(profile, sigma, kappas, seed):
         if kappa <= eps:
             # one moment pair serves the CLT and the q-of-snr rows
             mb, ma = (cost_difference_moments(mu, eps, kappa, sigma) for mu in levels)
-            exact = _clt_error_from_moments((mb, ma), counts, METHOD_CLT_EXACT)
-            lower = _clt_error_from_moments(
-                [y_bound_moments(mu, eps, kappa, sigma) for mu in levels], counts,
-                METHOD_CLT_LOWER_BOUND)
-            yield row(kappa, ClassifierKind.GLRT, exact.value, exact.method)
-            yield row(kappa, ClassifierKind.GLRT, lower.value, lower.method)
+            lower = [y_bound_moments(mu, eps, kappa, sigma) for mu in levels]
+            yield row(kappa, ClassifierKind.GLRT, _clt_value((mb, ma), counts), METHOD_CLT_EXACT)
+            yield row(kappa, ClassifierKind.GLRT, _clt_value(lower, counts),
+                      METHOD_CLT_LOWER_BOUND)
             yield row(kappa, ClassifierKind.GLRT,
                       error_from_snr(snr_glrt(profile.d, profile.p, ma, mb))
                       if ma.mean * profile.p + mb.mean * (1 - profile.p) >= 0 else 0.5,
@@ -302,16 +300,23 @@ def _cmd_surface(args) -> int:
         raise ConfigError(f"grid: must be >= 1, got {args.grid}")
     model = _load_model(args.model)
     _warn_nonuniform(model)
-    classifier = build_classifier(ClassifierKind(args.classifier), model, args.eps)
-    surface = brute_force_attack_oracle(
-        model, classifier, args.true_class, args.eps,
-        grid_points_per_axis=args.grid,
-        trials=args.trials if args.trials is not None else 10_000,
-        seed=args.seed,
-        threads=args.threads,
-    )
-    _write_surface(surface, model, args)
+    _run_surface(configs.SurfaceRecipe(
+        model=model, classifier=ClassifierKind(args.classifier), true_class=args.true_class,
+        eps=args.eps, grid_points_per_axis=args.grid,
+        trials=args.trials if args.trials is not None else 10_000, seed=args.seed,
+    ), args)
     return _EXIT_OK
+
+
+def _run_surface(recipe, args) -> None:
+    """Build the recipe's classifier, run the grid oracle on it and write the surface."""
+    classifier = build_classifier(recipe.classifier, recipe.model, recipe.eps)
+    surface = brute_force_attack_oracle(
+        recipe.model, classifier, recipe.true_class, recipe.eps,
+        grid_points_per_axis=recipe.grid_points_per_axis,
+        trials=recipe.trials, seed=recipe.seed, threads=args.threads,
+    )
+    _write_surface(surface, recipe.model, args)
 
 
 def _write_surface(surface, model, args) -> None:
@@ -392,13 +397,7 @@ def _cmd_reproduce(args) -> int:
         _write_moment_rows(rows, recipe, args)
         return _EXIT_OK
     if isinstance(recipe, configs.SurfaceRecipe):
-        classifier = build_classifier(recipe.classifier, recipe.model, recipe.eps)
-        surface = brute_force_attack_oracle(
-            recipe.model, classifier, recipe.true_class, recipe.eps,
-            grid_points_per_axis=recipe.grid_points_per_axis,
-            trials=recipe.trials, seed=recipe.seed, threads=args.threads,
-        )
-        _write_surface(surface, recipe.model, args)
+        _run_surface(recipe, args)
         return _EXIT_OK
     recipes = recipe if isinstance(recipe, list) else [recipe]
     _write_rows(args, CSV_HEADER, format_row, lambda sink: {

@@ -80,7 +80,8 @@ class MomentStudyRecipe:
 
 @dataclass(frozen=True)
 class SurfaceRecipe:
-    """Brute-force attack surface for one classifier on a 2-D instance."""
+    """Brute-force attack surface for one classifier on an instance of d <= 3;
+    `attack-surface` builds one from its arguments."""
 
     model: HypothesisModel
     classifier: ClassifierKind

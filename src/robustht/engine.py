@@ -85,19 +85,19 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _TILE_ELEMENTS = 1 << 16
 
 
-def _attack_plan(model, classifier, spec: AttackSpec, true_class: int) -> dict[int, np.ndarray]:
-    """An AttackSpec's replays {rival: attack}: one, keyed -1, unless it is noise-aware."""
+def _attack_plan(model, classifier, spec: AttackSpec, true_class: int) -> list[np.ndarray]:
+    """An AttackSpec's replays: one attack, unless it is noise-aware."""
     if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
-        return sign_replays(model, true_class, spec.strength)
+        return list(sign_replays(model, true_class, spec.strength).values())
     if spec.mode is AttackMode.NONE:
-        return {-1: np.zeros(model.dim)}
+        return [np.zeros(model.dim)]
     if spec.mode is AttackMode.FIXED_VECTOR:
-        return {-1: spec.vector}
+        return [spec.vector]
     if spec.mode is AttackMode.NOISE_AGNOSTIC_HEURISTIC:
         result = heuristic_agnostic_attack(
             model, classifier.kind, true_class, spec.budget, spec.strength
         )
-        return {-1: result.vector}
+        return [result.vector]
     raise ValueError(f"unknown attack mode: {spec.mode}")
 
 
@@ -106,15 +106,14 @@ def _decision_groups(tasks) -> list[tuple[list, np.ndarray]]:
 
     Those are tasks with the same model and classifier objects, true class
     and sigma. attacks holds the group's distinct attack vectors, one per
-    row; member (task, rivals, picks) replays attacks[picks[i]] toward
-    rivals[i].
+    row; member (task, picks) replays attacks[p] for each p in picks, in order.
     """
     groups: dict[tuple, tuple[list, dict]] = {}
     for t, (model, classifier, spec, j, sigma) in enumerate(tasks):
         members, attacks = groups.setdefault((id(model), id(classifier), j, sigma), ([], {}))
-        replays = _attack_plan(model, classifier, spec, j)
-        picks = [attacks.setdefault(e.tobytes(), (len(attacks), e))[0] for e in replays.values()]
-        members.append((t, list(replays), picks))
+        picks = [attacks.setdefault(e.tobytes(), (len(attacks), e))[0]
+                 for e in _attack_plan(model, classifier, spec, j)]
+        members.append((t, picks))
     return [(members, np.array([e for _, e in attacks.values()]))
             for members, attacks in groups.values()]
 
@@ -153,8 +152,8 @@ def _tally_block(tasks, groups, z_block) -> np.ndarray:
             base = np.multiply(sigma, z, out=tile[:z.shape[0]])
             base += model.means[j]
             decided = classifier.decide_attacks(base, attacks, work=out[:z.shape[0]])
-            for t, rivals, picks in members:
-                labels, _ = noise_aware_labels(j, rivals, [decided[i] for i in picks])
+            for t, picks in members:
+                labels = noise_aware_labels(j, [decided[i] for i in picks])
                 counts[t, 0] += np.count_nonzero(labels != j)
                 counts[t, 1] += np.count_nonzero(labels == REJECT)
             del decided, labels  # one tile's labels at a time: free them before the next
@@ -316,8 +315,9 @@ class ExperimentConfig:
                 )
         elif self.sweep_axis == SWEEP_EPS_OVER_SIGMA_SQ:
             for value in self.sweep_values:
-                if not value > 0:
-                    raise ConfigError(f"sweep.values: (eps/sigma)^2 must be > 0, got {value}")
+                if not 0 < value < math.inf:
+                    raise ConfigError(
+                        f"sweep.values: (eps/sigma)^2 must be finite and > 0, got {value}")
         else:
             if self.model is None and self.sigma is None:
                 raise ConfigError("sigma: required when sweeping a profile over kappa")

@@ -1,3 +1,4 @@
+import csv
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from scipy import integrate
 
 import robustht.engine
+from robustht import cli
 from robustht.analysis import (
     METHOD_CLT_EXACT,
     METHOD_CLT_LOWER_BOUND,
@@ -278,13 +280,18 @@ class TestCltError:
             )
             assert abs(pred.value - mc.value) < mc.ci_halfwidth
 
-    def test_lower_bound_variant_bounds_error_from_above(self):
+    def test_lower_bound_variant_bounds_error_from_above(self, tmp_path):
         # P(sum C < 0) <= P(sum Y < 0) holds before the CLT; check the CLT
-        # realization against Monte Carlo at moderate dimension
+        # realization, predict's clt-lower-bound row, against Monte Carlo at
+        # moderate dimension
         profile = TwoLevelProfile(d=100, p=0.3, a=1.1, b=0.9, eps=1.0)
+        out = tmp_path / "predict.csv"
+        assert cli.main(["predict", "--d", "100", "--p", "0.3", "--a", "1.1", "--b", "0.9",
+                         "--eps", "1", "--sigma", "0.35", "--kappa", "1", "--out", str(out)]) == 0
+        with open(out) as fh:
+            [bound] = [float(row["error"]) for row in csv.DictReader(fh)
+                       if row["method"] == METHOD_CLT_LOWER_BOUND]
         model = profile.to_model(0.35)
-        bound = clt_error(model, 1.0, 1.0, use_lower_bound=True)
-        assert bound.method == METHOD_CLT_LOWER_BOUND
         clf = GlrtClassifier(model, 1.0)
         mc = monte_carlo_error(
             model, clf,
@@ -292,7 +299,7 @@ class TestCltError:
                        mode=AttackMode.NOISE_AGNOSTIC_HEURISTIC),
             true_class=0, trials=100_000, seed=3,
         )
-        assert bound.value >= mc.value - 3 * mc.ci_halfwidth
+        assert bound >= mc.value - 3 * mc.ci_halfwidth
 
     def test_requires_binary_model(self):
         m = HypothesisModel(means=np.zeros((3, 2)) + np.arange(3)[:, None], sigma=1.0)

@@ -358,7 +358,13 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("kind", ["minimax", "glrt", "min-distance"])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_separable_path_equals_decide_batch_replay(self, d, kind):
+    def test_separable_path_equals_decide_batch_replay(self, d, kind, monkeypatch):
+        def replay(m, clf, j, axes, noise):
+            grid = np.array(list(itertools.product(*axes)))
+            x = (grid[:, None, :] + (m.means[j] + noise)[None, :, :]).reshape(-1, d)
+            labels = clf.decide_batch(x).reshape(len(grid), -1)
+            return np.count_nonzero(labels != j, axis=1).reshape(tuple(len(a) for a in axes))
+
         m = HypothesisModel.symmetric_binary(np.array([0.9, -0.7, 0.6])[:d], 0.6)
         clf = build_classifier(ClassifierKind(kind), m, 0.5)
         trials, seed = 3000, 5
@@ -366,12 +372,33 @@ class TestBruteForceOracle:
         for j in (0, 1):
             surf = brute_force_attack_oracle(m, clf, j, eps=0.5, grid_points_per_axis=7,
                                              trials=trials, seed=seed)
-            grid = np.array(list(itertools.product(*surf.axes)))
-            x = (grid[:, None, :] + (m.means[j] + noise)[None, :, :]).reshape(-1, d)
-            labels = clf.decide_batch(x).reshape(len(grid), trials)
-            wrong = np.count_nonzero(labels != j, axis=1).reshape(surf.errors.shape)
+            wrong = replay(m, clf, j, surf.axes, noise)
             np.testing.assert_array_equal(surf.errors, wrong / trials)
             assert 0 < wrong.min() < wrong.max() < trials
+
+        # means, noise and attacks on a grid of step 1/4, as in the nearest-path
+        # lattice test: every statistic is exact, and on some rows it is exactly
+        # 0, where the tie rule alone decides the label
+        m = HypothesisModel.symmetric_binary(np.array([1.0, -0.75, 0.5])[:d], 1.0)
+        clf = build_classifier(ClassifierKind(kind), m, 0.5)
+        noise = 0.25 * np.random.default_rng(d).integers(-4, 5, size=(400, d)).astype(float)
+        axes = [np.linspace(-0.5, 0.5, 5)] * d
+        real = robustht.attacks._beats
+        ties = []
+
+        def beats(k, j):
+            def counted(stat, zero):
+                ties.append(np.count_nonzero(stat == zero))
+                return real(k, j)(stat, zero)
+
+            return counted
+
+        monkeypatch.setattr(robustht.attacks, "_beats", beats)
+        for j in (0, 1):
+            ties.clear()
+            counts = robustht.attacks._separable_surface_counts(m, clf, j, axes, noise)
+            np.testing.assert_array_equal(counts, replay(m, clf, j, axes, noise))
+            assert sum(ties) > 0
 
     @pytest.mark.parametrize("kind", ["glrt", "min-distance"])
     @pytest.mark.parametrize("num_classes", [3, 4, 5])

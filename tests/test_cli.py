@@ -536,6 +536,21 @@ def test_bad_dimension_rejected_before_sampling(tmp_path, monkeypatch, capsys, v
     assert message.startswith("sweep.values:") and reason in message
 
 
+@pytest.mark.parametrize("value", [float("inf"), float("nan")], ids=["infinite", "nan"])
+def test_bad_eps_over_sigma_sq_rejected_before_sampling(tmp_path, monkeypatch, capsys, value):
+    # an infinite (eps/sigma)^2 would run its cell at sigma = 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "profile": {"d": 20, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
+        "eps": 1.0,
+        "classifiers": ["glrt"],
+        "sweep": {"axis": "eps_over_sigma_sq", "values": [1.0, value]},
+        "trials": 2000,
+    }))
+    message = _rejected_before_sampling(monkeypatch, capsys, tmp_path, ["simulate", str(path)])
+    assert message.startswith("sweep.values: (eps/sigma)^2 must be finite and > 0")
+
+
 @pytest.mark.parametrize("field, patch", [
     ("sweep.values", {"eps": 1.0, "sweep": {"axis": "kappa", "values": [1.5]}}),
     ("sweep.values", {"sweep": {"axis": "kappa", "values": ["x"]}}),
