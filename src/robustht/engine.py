@@ -12,7 +12,9 @@ ordering comparisons into paired tests and draws each noise block once
 per run. The block is drawn at the widest dimension of the cells that
 share it, and a narrower cell reads its block as a prefix of that draw,
 so a dimension sweep's rows are all final, and arrive, after its last
-block.
+block. The draw is streamed: `_tally_block` reads the block's substream
+in order into a window of about two tiles, so a block's memory does not
+grow with its dimension, and up to `threads` windows are alive at once.
 A sweep's points come from one generator, `_sweep_points`: each point's
 value, its classifiers (built once per model), its sigma (calibrated per
 dimension on the dimension axis) and its distinct (classifier, attack mode,
@@ -58,7 +60,7 @@ from .model import (
     _number,
     check_eps,
 )
-from .rng import noise_block, sum_over_blocks
+from .rng import noise_block, substream, sum_over_blocks
 
 __all__ = [
     "COLUMNS",
@@ -118,58 +120,89 @@ def _decision_groups(tasks) -> list[tuple[list, np.ndarray]]:
             for members, attacks in groups.values()]
 
 
-def _tally_block(tasks, groups, z_block) -> np.ndarray:
-    """(errors, rejects) of every task, one row each, on one block of standard normal draws.
+def _tally_block(tasks, groups, seed, block, rows, widest) -> np.ndarray:
+    """(errors, rejects) of every task, one row each, on one noise block.
 
-    z_block is drawn at the widest dimension of the tasks; a group of
-    dimension d reads the first rows * d values of the block as its own
-    (rows, d) block, which is what `noise_block` draws at d.
-    For each group of tasks that decide the same observations, mu_j +
-    sigma * z is built one row tile of about _TILE_ELEMENTS values at a
-    time, in one buffer reused by every group, and one `decide_attacks`
-    call decides each of the group's distinct attacks once on it. Every
-    task's labels then come from its replays of those decisions through
-    `noise_aware_labels`. Each row is decided on its own, so neither
-    tiling nor sharing changes a single label.
+    The block's substream is opened once and read in order through
+    `noise_block`, in chunks of whole rows at the widest dimension of the
+    tasks, into a ring window of about two tiles: 2 * max(largest tile,
+    widest) values, or the whole block, in one chunk, when that is smaller.
+    A group of dimension d reads the first rows * d values of the stream as
+    its own (rows, d) block, which is what `noise_block` draws at d. It
+    decides its next tile of about _TILE_ELEMENTS values as soon as the
+    stream has drawn the tile's last value, and the window overwrites a
+    value once every unfinished group has passed it, so the memory of a
+    block does not grow with rows * widest.
+    For each tile, mu_j + sigma * z is built from the window in one buffer
+    reused by every group (the scaling reads the ring, so no value is
+    copied twice), and one `decide_attacks` call decides each of the
+    group's distinct attacks once on it. Every task's labels then come from
+    its replays of those decisions through `noise_aware_labels`. Each row
+    is decided on its own, so neither tiling, chunking nor sharing changes
+    a single label.
     """
-    rows = z_block.shape[0]
     dims = [attacks.shape[1] for _, attacks in groups]
     steps = [min(max(1, _TILE_ELEMENTS // dim), rows) for dim in dims]
     # one pair of tile buffers per block, large enough for every group's tile
     size = max(step * dim for step, dim in zip(steps, dims))
     tile_buffer = np.empty(size)
     attacked_buffer = np.empty(size)
+    # value v of the block, once drawn, sits at window[v % window.size] until overwritten;
+    # room for a tile and a row past the first value still needed means every refill
+    # completes the next tile of the group that needs that value
+    window = np.empty(min(rows, -(-2 * max(size, widest) // widest)) * widest)
+    stream = substream(seed, block)
+    drawn = 0
+    starts = [0] * len(groups)  # the first row of each group's next tile
     counts = np.zeros((len(tasks), 2), dtype=np.int64)
-    for step, dim, (members, attacks) in zip(steps, dims, groups):
-        model, classifier, _, j, sigma = tasks[members[0][0]]
-        block = z_block.ravel()[:rows * dim].reshape(rows, dim)
-        tile = tile_buffer[:step * dim].reshape(step, dim)
-        # the GLRT adds a lone attack in place, which keeps one tile in cache
-        # (a dimension sweep's groups); several need the tile kept intact
-        out = tile if len(attacks) == 1 else attacked_buffer[:step * dim].reshape(step, dim)
-        for lo in range(0, rows, step):
-            z = block[lo:lo + step]
-            base = np.multiply(sigma, z, out=tile[:z.shape[0]])
-            base += model.means[j]
-            decided = classifier.decide_attacks(base, attacks, work=out[:z.shape[0]])
-            for t, picks in members:
-                labels = noise_aware_labels(j, [decided[i] for i in picks])
-                counts[t, 0] += np.count_nonzero(labels != j)
-                counts[t, 1] += np.count_nonzero(labels == REJECT)
-            del decided, labels  # one tile's labels at a time: free them before the next
-    return counts
+    while True:
+        for g, (step, dim, (members, attacks)) in enumerate(zip(steps, dims, groups)):
+            model, classifier, _, j, sigma = tasks[members[0][0]]
+            while starts[g] < rows and min(starts[g] + step, rows) * dim <= drawn:
+                n = min(step, rows - starts[g])
+                # sigma * z of the tile, from one or (across the ring's end) two runs of the window
+                at = starts[g] * dim % window.size
+                head = min(n * dim, window.size - at)
+                np.multiply(sigma, window[at:at + head], out=tile_buffer[:head])
+                if head < n * dim:
+                    np.multiply(sigma, window[:n * dim - head], out=tile_buffer[head:n * dim])
+                base = tile_buffer[:n * dim].reshape(n, dim)
+                base += model.means[j]
+                # the GLRT adds a lone attack in place, which keeps one tile in cache
+                # (a dimension sweep's groups); several need the tile kept intact
+                out = base if len(attacks) == 1 else attacked_buffer[:n * dim].reshape(n, dim)
+                decided = classifier.decide_attacks(base, attacks, work=out)
+                for t, picks in members:
+                    labels = noise_aware_labels(j, [decided[i] for i in picks])
+                    counts[t, 0] += np.count_nonzero(labels != j)
+                    counts[t, 1] += np.count_nonzero(labels == REJECT)
+                del decided, labels  # one tile's labels at a time: free them before the next
+                starts[g] += n
+        needed = [start * dim for start, dim in zip(starts, dims) if start < rows]
+        if not needed:
+            return counts
+        # draw on, in whole widest rows, up to one window past the first value still needed
+        end = min(rows, (min(needed) + window.size) // widest) * widest
+        while drawn < end:
+            at = drawn % window.size
+            n = min(end - drawn, window.size - at)
+            noise_block(seed, block, n // widest, widest, stream=stream,
+                        out=window[at:at + n].reshape(-1, widest))
+            drawn += n
 
 
 def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
     """(error, ci, reject_rate) of each (model, classifier, AttackSpec, sigma) cell.
 
     The one place where the engine draws Monte Carlo noise: each block is
-    drawn once, at the widest dimension of the cells' models, and every
-    cell and true class is tallied on it, so all cells share common random
-    numbers; `rng.sum_over_blocks` adds up the blocks' integer counts. A
-    cell of narrower dimension d reads the first d-wide block of that draw,
-    the block `noise_block` gives at d (its prefix property), so its counts
-    do not depend on the other cells. The models may differ in anything.
+    drawn once, at the widest dimension of the cells' models, streamed
+    through `_tally_block`'s window, and every cell and true class is
+    tallied on it, so all cells share common random numbers;
+    `rng.sum_over_blocks` adds up the blocks' integer counts, with up to
+    `threads` blocks, and so windows, alive at once. A cell of narrower
+    dimension d reads the first d-wide block of that draw, the block
+    `noise_block` gives at d (its prefix property), so its counts do not
+    depend on the other cells. The models may differ in anything.
     true_class picks a class-conditional error; None weights each model's
     class-conditional errors with its priors.
     """
@@ -185,9 +218,7 @@ def _monte_carlo_cells(cells, true_class, trials, seed, threads) -> list[tuple]:
     ]
     groups = _decision_groups(tasks)
     totals = sum_over_blocks(
-        trials, lambda b, rows: _tally_block(tasks, groups, noise_block(seed, b, rows, widest)),
-        threads,
-    )
+        trials, lambda b, rows: _tally_block(tasks, groups, seed, b, rows, widest), threads)
 
     # Wald intervals from the integer totals, weighted and added in quadrature
     out = []

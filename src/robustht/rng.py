@@ -41,7 +41,9 @@ def block_plan(trials: int):
         b += 1
 
 
-def noise_block(seed: int, block_index: int, rows: int, dim: int) -> np.ndarray:
+def noise_block(seed: int, block_index: int, rows: int, dim: int,
+                stream: np.random.Generator | None = None, out: np.ndarray | None = None
+                ) -> np.ndarray:
     """Standard normal (rows, dim) block; row r holds trial block*BLOCK_SIZE + r.
 
     The substream fills the block in row-major order, so a narrower block is
@@ -49,17 +51,28 @@ def noise_block(seed: int, block_index: int, rows: int, dim: int) -> np.ndarray:
     noise_block(s, b, r, D).ravel()[:r * d].reshape(r, d), bit for bit. The
     engine draws each block once at a run's widest dimension and reads every
     narrower one that way.
+
+    A block can also be read in chunks: open its substream once with
+    `substream(seed, block_index)` and pass it as stream. Each call then
+    draws the next rows * dim values of the block, into out (a (rows, dim)
+    float64 array) when given. Philox is counter-based and fills in order,
+    so the chunks, end to end, are the values of one draw, bit for bit.
+    The engine reads every block that way, into a window of about two
+    tiles, so with `sum_over_blocks` on `threads` workers up to `threads`
+    windows, not whole blocks, are alive at once.
     """
-    return substream(seed, block_index).standard_normal((rows, dim))
+    generator = substream(seed, block_index) if stream is None else stream
+    return generator.standard_normal((rows, dim), out=out)
 
 
 def sum_over_blocks(trials: int, count, threads: int = 1):
     """The sum of count(block_index, rows) over the blocks of `trials`, added in block order.
 
-    count draws its own block (through `noise_block`) and returns its
-    counts, an integer or array of per-block sums. With threads > 1 the
-    blocks run on a pool of that many workers, so up to `threads` blocks
-    are alive at once; with one thread they run lazily, one at a time.
+    count draws its own block (through `noise_block`, whole or in chunks)
+    and returns its counts, an integer or array of per-block sums. With
+    threads > 1 the blocks run on a pool of that many workers, so up to
+    `threads` blocks, or the engine's windows of them, are alive at once;
+    with one thread they run lazily, one at a time.
     Either way the parts are added in block order, so the sum does not
     depend on `threads`.
     """

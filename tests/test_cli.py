@@ -14,6 +14,14 @@ from robustht.rng import BLOCK_SIZE
 
 CLI = [sys.executable, "-m", "robustht.cli"]
 
+# A probe's own peak RSS in KB. Linux keeps ru_maxrss across exec, so a child's
+# ru_maxrss starts at the RSS of the test process that spawned it; VmHWM is the
+# high-water mark of the child's own memory.
+PEAK_KB = ("def peak_kb():\n"
+           "    with open('/proc/self/status') as fh:\n"
+           "        return next(int(line.split()[1]) for line in fh\n"
+           "                    if line.startswith('VmHWM:'))\n")
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
@@ -100,13 +108,13 @@ class TestReproduce:
     def test_surface_peak_memory_is_bounded(self, tmp_path, figure):
         # the grid oracle holds per-axis cost tables (GLRT) or the labels of
         # about 2^16 (grid point, row) pairs (PRL), never a whole
-        # (grid x trials, d) tensor; ru_maxrss is in KB on Linux
-        probe = (
-            "import resource, sys\n"
+        # (grid x trials, d) tensor
+        probe = PEAK_KB + (
+            "import sys\n"
             "from robustht import cli\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak_kb()\n"
             "code = cli.main(['reproduce', sys.argv[1], '--seed', '7', '--out', sys.argv[2]])\n"
-            "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+            "print(code, peak_kb() - before)\n"
         )
         r = subprocess.run([sys.executable, "-c", probe, figure, str(tmp_path / "out.csv")],
                            capture_output=True, text=True, timeout=600)
@@ -131,6 +139,34 @@ class TestSimulate:
         path = tmp_path / "config.json"
         path.write_text(json.dumps(raw))
         return path
+
+    def test_wide_cell_peak_memory_is_bounded(self, tmp_path):
+        # each block is streamed through a window of about two tiles, never held
+        # as 8192 x d values (437 MB at d = 6400)
+        config = tmp_path / "wide.json"
+        config.write_text(json.dumps({
+            "profile": {"d": 6400, "p": 0.1, "a": 1.1, "b": 0.9, "eps": 1.0},
+            "sigma": 3.0, "eps": 1.0, "classifiers": ["glrt"], "attack_modes": ["agnostic"],
+            "sweep": {"axis": "kappa", "values": [0.5]}, "trials": BLOCK_SIZE, "seed": 3,
+        }))
+        probe = PEAK_KB + (
+            "import sys\n"
+            "from robustht import cli\n"
+            "code = cli.main(['simulate', sys.argv[1], '--threads', sys.argv[2],"
+            " '--out', sys.argv[3]])\n"
+            "print(code, peak_kb())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"wide-{threads}.csv"
+            r = subprocess.run([sys.executable, "-c", probe, str(config), threads, str(out)],
+                               capture_output=True, text=True, timeout=600)
+            assert r.returncode == 0, r.stderr
+            code, peak_kb = map(int, r.stdout.split())
+            assert code == 0
+            assert peak_kb <= 80 * 1024, threads
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_runs_and_writes_outputs(self, tmp_path):
         out = tmp_path / "run.csv"
@@ -398,8 +434,9 @@ FORMAT_CONTRACT = {
      "--kappa", "0,0.5,1", "--sigma", "3e-9"): (
         "841042746fb156ad32b27f5b76adbe3a52c677ff18e6d79b3d6ede1f9c7ca019",
         "56db37b4f1d762310a8d4413a74b63d5e1f3b60073f2ede934d6a683bb85b5a5"),
+    # the third and fourth power sums come from c2 = c * c, not pow
     ("reproduce", "fig2", "--trials", "2000", "--format", "json"): (
-        "29c1a2bc5ecee9b70574034379c633940bce822dcf357730af454b8e7ea9583b",
+        "558c902392212e765940a373fe01ddf0fac38dbba468529755ce647e26903c34",
         "1e29ae5c75bbb19d8273394b25b4e7dd1825c8126bd3047eab1ebf2dd0d14939"),
     ("nn-class", "--model", "ternary-2d", "--eps", "1", "--kappa", "0.5"): (
         "1d5a178e10a3c590cce5509ab3de371bca957d9c14a1a7e45de6ae3be060cda2", None),
@@ -466,7 +503,8 @@ def _rejected_before_sampling(monkeypatch, capsys, tmp_path, argv) -> str:
     for module in (robustht.engine, robustht.attacks):
         real = module.noise_block
         monkeypatch.setattr(module, "noise_block",
-                            lambda *args, real=real: draws.append(args) or real(*args))
+                            lambda *args, real=real, **kwargs: draws.append(args)
+                            or real(*args, **kwargs))
     assert cli.main([*argv, "--out", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.splitlines()[-1])
     assert err["error"] == "validation"
@@ -655,9 +693,10 @@ def test_predict_sigma_where_every_level_variance_is_zero(tmp_path):
     assert {row.split(",")[5] for row in rows} == {"0"}
 
 
-@pytest.mark.parametrize("sigma", ["1e-300", "1e300", "0", "-1", "nan", "inf"],
-                         ids=["snr-overflow", "moment-overflow", "zero", "negative", "nan",
-                              "inf"])
+# at 1e150 a second moment overflows to inf - inf, a NaN variance that is not clamped to 0
+@pytest.mark.parametrize("sigma", ["1e-300", "1e150", "1e300", "0", "-1", "nan", "inf"],
+                         ids=["snr-overflow", "nan-variance", "moment-overflow", "zero",
+                              "negative", "nan", "inf"])
 def test_predict_sigma_without_finite_prediction_rejected_before_output(
         tmp_path, monkeypatch, capsys, sigma):
     message = _rejected_before_sampling(monkeypatch, capsys, tmp_path,

@@ -33,7 +33,7 @@ from robustht.engine import (
 )
 from robustht.model import REJECT, AttackMode, AttackSpec, HypothesisModel, TwoLevelProfile
 from robustht.numerics import q_function
-from robustht.rng import BLOCK_SIZE, block_plan, noise_block, sum_over_blocks
+from robustht.rng import BLOCK_SIZE, block_plan, noise_block, substream, sum_over_blocks
 
 
 class AlwaysRight:
@@ -50,6 +50,37 @@ class AlwaysRight:
 
 def binary(mu, sigma=1.0):
     return HypothesisModel.symmetric_binary(np.asarray(mu, float), sigma)
+
+
+def record_draws(monkeypatch) -> list:
+    """Log each noise_block call of the engine: (args, stream, a copy of the values drawn)."""
+    log = []
+    real = robustht.engine.noise_block
+
+    def recorded(*args, **kwargs):
+        values = real(*args, **kwargs)
+        log.append((args, kwargs.get("stream"), values.copy()))
+        return values
+
+    monkeypatch.setattr(robustht.engine, "noise_block", recorded)
+    return log
+
+
+def assert_streamed(log, seed, blocks, widest):
+    """Each (block, rows) of blocks was read from its own substream, opened once and
+    read in order at the widest dimension: its chunks, end to end, are exactly the
+    rows * widest values of noise_block(seed, block, rows, widest)."""
+    chunks = collections.defaultdict(list)
+    for (s, b, _, dim), stream, values in log:
+        assert (s, dim) == (seed, widest) and stream is not None
+        chunks[b].append((stream, values))
+    assert sorted(chunks) == [b for b, _ in blocks]
+    streams = {b: {id(stream) for stream, _ in calls} for b, calls in chunks.items()}
+    assert all(len(ids) == 1 for ids in streams.values())
+    assert len(set.union(*streams.values())) == len(blocks)
+    for b, rows in blocks:
+        drawn = np.concatenate([values.ravel() for _, values in chunks[b]])
+        assert drawn.tobytes() == noise_block(seed, b, rows, widest).tobytes()
 
 
 class TestNoiseStreams:
@@ -82,6 +113,22 @@ class TestNoiseStreams:
             narrow = noise_block(seed, block, rows, dim)
             assert narrow.tobytes() == prefix.reshape(rows, dim).tobytes()
 
+    def test_chunks_of_an_open_substream_equal_one_draw(self):
+        # the engine reads a block in chunks; here they run from 1 value to more than the block
+        whole = noise_block(9, 2, BLOCK_SIZE, 3).ravel()
+        sizes = np.random.default_rng(0)
+        for case in range(20):
+            stream, buffer, at = substream(9, 2), np.empty(whole.size), 0
+            while at < whole.size:
+                n = min(whole.size - at, int(np.exp(sizes.uniform(0, math.log(2 * whole.size)))))
+                if case % 2:
+                    out = buffer[at:at + n].reshape(1, n)
+                    assert noise_block(9, 2, 1, n, stream=stream, out=out) is out
+                else:
+                    buffer[at:at + n] = noise_block(9, 2, 1, n, stream=stream).ravel()
+                at += n
+            assert buffer.tobytes() == whole.tobytes()
+
     def test_sum_over_blocks_does_not_depend_on_threads(self):
         # float sums expose any change in the order the blocks are added
         def count(b, rows):
@@ -109,14 +156,17 @@ class TestNoiseStreams:
                           for kind in ("count", "freed")]
 
     def test_every_monte_carlo_path_draws_through_its_module(self, monkeypatch):
-        # bench/tracing.py counts draws through these names, so each path must use them
+        # bench/tracing.py counts draws through these names, so each path must use them:
+        # the engine streams each block in chunks, the grid oracle and moment study draw it whole
         draws = collections.defaultdict(list)
 
         def recorder(module, real):
-            return lambda *args: draws[module.__name__].append(args) or real(*args)
+            return lambda *args, **kwargs: (draws[module.__name__].append((args, kwargs))
+                                            or real(*args, **kwargs))
 
-        for module in (robustht.engine, robustht.attacks, robustht.analysis):
+        for module in (robustht.attacks, robustht.analysis):
             monkeypatch.setattr(module, "noise_block", recorder(module, module.noise_block))
+        engine = record_draws(monkeypatch)
         trials = BLOCK_SIZE + 5
         run_experiment(kappa_sweep_config(trials=trials, seed=5), threads=2)
         model = ternary_2d_model()
@@ -125,10 +175,13 @@ class TestNoiseStreams:
                                   threads=2)
         moment_study([0.5, 1.5], eps=1.0, kappa=0.5, sigma=1.0, trials=trials, seed=7)
         blocks = [(0, BLOCK_SIZE), (1, 5)]
+        # block 0 is wider than the engine's window: it comes in more than one chunk
+        assert len(engine) > len(blocks)
+        assert_streamed(engine, 5, blocks, 20)
         assert {name: sorted(calls) for name, calls in draws.items()} == {
-            "robustht.engine": [(5, b, rows, 20) for b, rows in blocks],
-            "robustht.attacks": [(6, b, rows, 2) for b, rows in blocks],
-            "robustht.analysis": [(seed, b, rows, 1) for seed in (7, 8) for b, rows in blocks],
+            "robustht.attacks": [((6, b, rows, 2), {}) for b, rows in blocks],
+            "robustht.analysis": [((seed, b, rows, 1), {}) for seed in (7, 8)
+                                  for b, rows in blocks],
         }
 
 
@@ -221,19 +274,12 @@ class TestMonteCarloError:
 
 
 class TestSingleDraw:
-    """Each noise block is drawn once, whatever the classes and cells on it."""
+    """Each noise block is drawn once, whatever the classes and cells on it: its
+    substream is opened once and read in order, rows * widest values in all."""
 
     @pytest.fixture
     def draws(self, monkeypatch):
-        calls = []
-        real = robustht.engine.noise_block
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(robustht.engine, "noise_block", counted)
-        return calls
+        return record_draws(monkeypatch)
 
     def test_prior_weighted_error(self, draws):
         m = binary([1.0, 0.5], sigma=0.9)
@@ -241,7 +287,7 @@ class TestSingleDraw:
                             mode=AttackMode.NOISE_AGNOSTIC_HEURISTIC)
         monte_carlo_error(m, GlrtClassifier(m, eps=0.6), attack, true_class=None,
                           trials=3 * BLOCK_SIZE, seed=1)
-        assert sorted(b for _, b, _, _ in draws) == [0, 1, 2]
+        assert_streamed(draws, 1, [(b, BLOCK_SIZE) for b in range(3)], 2)
 
     def test_dimension_sweep(self, draws):
         config = dimension_sweep_config(
@@ -250,7 +296,7 @@ class TestSingleDraw:
         )
         run_experiment(config)
         # both dimensions read one draw at the wider
-        assert [(b, dim) for _, b, _, dim in draws] == [(0, 40)]
+        assert_streamed(draws, 2, [(0, 1000)], 40)
 
     def test_reproduce_fig5_draws_each_block_once(self, draws, tmp_path):
         # the kappa = 1 and kappa = 0.8 studies share seed and trials, and all
@@ -258,13 +304,13 @@ class TestSingleDraw:
         code = cli.main(["reproduce", "fig5", "--trials", "1000", "--seed", "3",
                          "--out", str(tmp_path / "fig5.csv")])
         assert code == 0
-        assert draws == [(3, 0, 1000, 400)]
+        assert_streamed(draws, 3, [(0, 1000)], 400)
 
     def test_reproduce_fig5_draws_each_block_once_on_threads(self, draws, tmp_path):
         code = cli.main(["reproduce", "fig5", "--trials", str(BLOCK_SIZE + 5), "--seed", "3",
                          "--threads", "2", "--out", str(tmp_path / "fig5.csv")])
         assert code == 0
-        assert sorted(draws) == [(3, 0, BLOCK_SIZE, 400), (3, 1, 5, 400)]
+        assert_streamed(draws, 3, [(0, BLOCK_SIZE), (1, 5)], 400)
 
 
 class TestCountBlockTiles:
@@ -331,6 +377,44 @@ class TestCountBlockTiles:
             assert agnostic[2].strength == 0.2
             assert robustht.engine._monte_carlo_cells([agnostic], j, self.ROWS, 11, 1) == [
                 tallied[2]]
+
+    def streamed_against_one_shot(self, dims, kind, monkeypatch, classes=(0, 1, 2)) -> list:
+        """Tally the cells of case(d, kind) for each d in dims on one stream read at the
+        widest, assert each cell's counts equal its one-shot replay, and return the
+        end of each chunk drawn (in values) for each true class of classes."""
+        cases = [self.case(dim, kind) for dim in dims]
+        cells = [cell for case_cells, _ in cases for cell in case_cells]
+        log = record_draws(monkeypatch)
+        chunk_ends = []
+        for j in classes:
+            log.clear()
+            tallied = robustht.engine._monte_carlo_cells(cells, j, self.ROWS, 11, 1)
+            expected = [counts for _, per_class in cases for counts in per_class[j]]
+            assert [(error, reject) for error, _, reject in tallied] == [
+                (errors / self.ROWS, rejects / self.ROWS) for errors, rejects in expected]
+            assert_streamed(log, 11, [(0, self.ROWS)], max(dims))
+            chunk_ends.append(np.cumsum([values.size for _, _, values in log]))
+        return chunk_ends
+
+    @pytest.mark.parametrize("kind", [ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR,
+                                      ClassifierKind.MIN_DISTANCE])
+    def test_tiles_straddling_chunks_bit_exact(self, kind, monkeypatch):
+        # tiles of 998 (d = 2) and 980 (d = 20) values on chunks of whole 20-wide rows
+        monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", 999)
+        for ends in self.streamed_against_one_shot((2, 20), kind, monkeypatch):
+            assert len(ends) > 2
+            for dim in (2, 20):
+                span = 999 // dim * dim
+                starts = np.arange(0, self.ROWS * dim, span)
+                # some tile of each dimension holds a chunk boundary strictly inside
+                assert any(((lo < ends) & (ends < lo + span)).any() for lo in starts), dim
+
+    def test_one_row_tiles_bit_exact(self, monkeypatch):
+        # d = 400 exceeds the tile, so each of its tiles is one row; d = 20 takes 3 rows
+        monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", 64)
+        [ends] = self.streamed_against_one_shot((20, 400), ClassifierKind.GLRT, monkeypatch,
+                                                classes=(1,))
+        assert len(ends) > self.ROWS // 4
 
     def test_sign_attacks_built_at_plan_time(self, monkeypatch):
         # more tiles per block must not build more sign attacks
@@ -567,15 +651,19 @@ class TestRunExperiment:
         events = []
         real = robustht.engine.noise_block
 
-        def counted(*args):
-            events.append(("draw", args[3]))
-            return real(*args)
+        def counted(*args, **kwargs):
+            values = real(*args, **kwargs)
+            events.append(("draw", args[3], values.size))
+            return values
 
         monkeypatch.setattr(robustht.engine, "noise_block", counted)
         run_experiments(configs, row_sink=lambda row: events.append(
             ("row", row["kappa"], row["sweep_value"])))
-        assert events == [
-            ("draw", 40),
+        # every value of the block is drawn, at d = 40, before the first row comes out
+        first_row = next(i for i, event in enumerate(events) if event[0] == "row")
+        assert {event[:2] for event in events[:first_row]} == {("draw", 40)}
+        assert sum(event[2] for event in events[:first_row]) == 2000 * 40
+        assert events[first_row:] == [
             ("row", 1.0, 20), ("row", 1.0, 20), ("row", 1.0, 40), ("row", 1.0, 40),
             ("row", 0.8, 20), ("row", 0.8, 20), ("row", 0.8, 40), ("row", 0.8, 40),
         ]
@@ -597,7 +685,7 @@ class TestRunExperiment:
     def test_invalid_later_config_fails_before_any_draw(self, monkeypatch):
         draws = []
         monkeypatch.setattr(robustht.engine, "noise_block",
-                            lambda *args: draws.append(args))
+                            lambda *args, **kwargs: draws.append(args))
         bad = dimension_sweep_config(kappas=[0.5, 1.0])
         with pytest.raises(ConfigError, match="kappas"):
             run_experiments([dimension_sweep_config(), bad])
@@ -709,7 +797,7 @@ class TestConfigValidation:
         draws, rows = [], []
         real = robustht.engine.noise_block
         monkeypatch.setattr(robustht.engine, "noise_block",
-                            lambda *args: draws.append(args) or real(*args))
+                            lambda *args, **kwargs: draws.append(args) or real(*args, **kwargs))
         configs = [kappa_sweep_config(trials=1000), dimension_sweep_config(**{field: value})]
         with pytest.raises(ConfigError, match=f"^{field}:"):
             run_experiments(configs, row_sink=rows.append)
