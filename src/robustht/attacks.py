@@ -8,13 +8,11 @@ coordinates with no separation are left untouched.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .classifiers import (
-    _CHUNK_ELEMENTS,
     ClassifierKind,
     GlrtClassifier,
     MinDistanceClassifier,
@@ -41,6 +39,11 @@ __all__ = [
 ]
 
 _BUDGET_TOL = 1e-12
+
+# float64 values in the largest table of one span of rows on any grid-oracle
+# path (2 MB): fig6's 3 classes x 41 last-axis points take 2131-row spans;
+# a block of at most two spans is counted whole
+_SPAN_VALUES = 1 << 18
 
 
 class UnsupportedDimensionError(ValueError):
@@ -289,13 +292,21 @@ def brute_force_attack_oracle(
 
     Exhaustively realizes the noise-agnostic maximization over the
     l-infinity ball at desk scale (d <= 3), with common random numbers
-    across grid points. Noise is drawn and counted one block at a time,
-    on up to `threads` blocks at once (`rng.sum_over_blocks`). Binary
+    across grid points. Noise is drawn one block at a time, on up to
+    `threads` blocks at once (`rng.sum_over_blocks`), and each block is
+    counted in consecutive spans of rows whose largest table holds about
+    _SPAN_VALUES values, so no table grows with the trials; the integer
+    counts of the spans and blocks add up. A block that fits in two spans
+    is counted whole: a second span would pay the path's fixed cost per
+    leading grid point again to save at most one span's tables. Binary
     models with cost- or statistic-separable rules take a per-coordinate
-    fast path; the GLRT and minimum distance with more classes compare
-    per-class costs summed from per-coordinate tables; everything else
-    (the pairwise robust linear rule) decides every grid point at once
-    through `decide_attacks`, in spans of rows.
+    fast path, whose largest table is (grid points on an axis, rows); the
+    GLRT and minimum distance with more classes compare per-class costs
+    summed from per-coordinate terms, with a largest table of (classes,
+    rows, last-axis points); everything else (the pairwise robust linear
+    rule) decides every grid point at once through `decide_attacks`, into
+    (grid points, rows) labels. Each path's `_*_row_values` gives the
+    values per row of its largest table.
     """
     try:
         j = model.check_class(true_class)
@@ -319,21 +330,24 @@ def brute_force_attack_oracle(
     separable = model.num_classes == 2 and (
         nearest or isinstance(classifier, MinimaxLinearClassifier)
     )
+    # each path with the values per row of its largest table
     if separable:
-        surface_counts = _separable_surface_counts
+        surface_counts, row_values = _separable_surface_counts, _separable_row_values
     elif nearest:
-        surface_counts = _nearest_surface_counts
+        surface_counts, row_values = _nearest_surface_counts, _nearest_row_values
     else:
-        surface_counts = _generic_surface_counts
-    # identical per-trial noise to the sweep engine's, so grid estimates and
-    # engine estimates at the same (seed, trials) are exactly comparable;
-    # the integer counts of each block add up across blocks
-    counts = sum_over_blocks(
-        trials,
-        lambda b, rows: surface_counts(model, classifier, j, axes,
-                                       model.sigma * noise_block(seed, b, rows, d)),
-        threads,
-    )
+        surface_counts, row_values = _generic_surface_counts, _generic_row_values
+    span = max(1, _SPAN_VALUES // row_values(model, [len(a) for a in axes]))
+
+    def block_counts(b, rows):
+        # identical per-trial noise to the sweep engine's, so grid estimates and
+        # engine estimates at the same (seed, trials) are exactly comparable
+        noise = model.sigma * noise_block(seed, b, rows, d)
+        step = rows if rows <= 2 * span else span
+        return sum(surface_counts(model, classifier, j, axes, noise[lo:lo + step])
+                   for lo in range(0, rows, step))
+
+    counts = sum_over_blocks(trials, block_counts, threads)
     return ErrorSurface(
         axes=axes,
         errors=counts / trials,
@@ -355,22 +369,21 @@ def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
 
     For the binary GLRT, minimum-distance and minimax rules the decisive
     statistic is a sum of per-coordinate terms in (e_i, N_i), so a table of
-    shape (grid, trials) per axis replaces the full (grid^d, trials, d)
-    tensor.
+    shape (grid, rows) per axis replaces the full (grid^d, rows, d) tensor.
     """
     other = 1 - j
     delta = model.means[j] - model.means[other]
-    trials = noise.shape[0]
 
     tables = []
     for i, axis in enumerate(axes):
-        v = axis[:, None] + noise[None, :, i]  # e + N, shape (g, trials)
         if isinstance(classifier, GlrtClassifier):
             tables.append(
                 per_coordinate_cost_difference(delta[i] / 2.0, noise[:, i], axis[:, None],
                                                classifier.eps)
             )
-        elif isinstance(classifier, MinDistanceClassifier):
+            continue
+        v = axis[:, None] + noise[None, :, i]  # e + N, shape (g, rows)
+        if isinstance(classifier, MinDistanceClassifier):
             tables.append(delta[i] * (delta[i] + 2.0 * v))
         else:  # minimax linear: oriented statistic, positive favors class j
             rule = classifier.rule
@@ -393,13 +406,23 @@ def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     return counts
 
 
-def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
-    """GLRT and minimum-distance errors from per-(class, coordinate) cost tables.
+def _separable_row_values(model, shape) -> int:
+    # one axis's (points, rows) table
+    return max(shape)
 
-    Each class has one table per axis holding the decision kernel's squared
-    residual of that coordinate for every value on the axis and every noise
-    row, built with the kernel's elementwise steps (`classifiers._class_costs`,
-    whose soft threshold `_soft_threshold_in_place` these tables share). A
+
+def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
+    """GLRT and minimum-distance errors from per-(class, coordinate) cost terms.
+
+    A term is the decision kernel's squared residual of one coordinate, for
+    every class and noise row, built with the kernel's elementwise steps
+    (`classifiers._class_costs`, whose soft threshold
+    `_soft_threshold_in_place` these terms share). The last axis has one
+    (classes, rows, points) table, the largest array here. The first
+    leading axis has no table: its (classes, rows) terms are built for one
+    point at a time, when its index changes. A second leading axis (d = 3)
+    is revisited for every index of the first, so its terms are tabled,
+    (classes, points, rows), the last table's size on a square grid. A
     class's cost at a grid point adds its d entries in the order that
     einsum("nd,nd->n") adds them (t0, t0 + t1, (t0 + t2) + t1), so it
     equals the kernel's cost bit for bit.
@@ -413,39 +436,53 @@ def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
     `_rows_to_sweep` settles the rows whose bounds decide the kernel's tie
     rule at every last-axis point. Only the others are gathered into two
     reused (rows, last-axis points) workspaces, class j's cost and one
-    rival's, and compared point by point.
+    rival's, and compared point by point; a workspace's pages are touched
+    only for the most rows that any leading point sweeps.
     """
     eps = classifier.eps if isinstance(classifier, GlrtClassifier) else None
     base = model.means[j] + noise
-    # tables[i][k] holds class k's entries for axis i: (points, rows) on a
-    # leading axis, (rows, points) on the last, so a gathered row is contiguous
-    tables = []
-    for i, axis in enumerate(axes):
-        if i < len(axes) - 1:
-            t = np.add.outer(axis, base[:, i]) - model.means[:, i, None, None]
-        else:
-            t = np.add.outer(base[:, i], axis) - model.means[:, i, None, None]
+    shape = tuple(len(a) for a in axes)
+
+    def squared_residuals(values, i, out=None):
+        # class k's terms of coordinate i at values = e + base: thresholded, squared
+        mu = model.means[:, i].reshape((-1,) + (1,) * values.ndim)
+        t = np.subtract(values, mu, out=out)
         if eps is not None:
             _soft_threshold_in_place(t, eps)
         t *= t
-        tables.append(t)
-    *leads, last = tables
+        return t
 
-    shape = tuple(len(a) for a in axes)
-    rows = noise.shape[0]
-    counts = np.zeros(shape, dtype=np.int64)
+    # (classes, rows, points), so a gathered row is contiguous
+    last = squared_residuals(np.add.outer(base[:, -1], axes[-1]), -1)
     extremes = np.stack((last.min(axis=2), last.max(axis=2)))
-    bounds = np.empty_like(extremes)
+    tables = [squared_residuals(np.add.outer(axes[i], base[:, i]), i)
+              for i in range(1, len(shape) - 1)]
+    # the first axis's terms are built into a buffer; a second axis's are views of its table
+    terms = [np.empty((model.num_classes, len(base))) if i == 0 else None
+             for i in range(len(shape) - 1)]
+    # bounds[i]: the extremes plus the leading terms up to axis i, in the kernel's order
+    bounds = [np.empty_like(extremes) for _ in shape[:-1]]
+    counts = np.zeros(shape, dtype=np.int64)
     # workspaces at their largest size; each lead point fills views of them
-    cols = np.empty((len(leads), rows, 1))
-    own, rival = np.empty((2, rows, shape[-1]))
-    wrong, beaten = np.empty((2, rows, shape[-1]), dtype=bool)
+    cols = np.empty((len(terms), len(base), 1))
+    own, rival = np.empty((2, len(base), shape[-1]))
+    wrong, beaten = np.empty((2, len(base), shape[-1]), dtype=bool)
     rivals = [k for k in range(model.num_classes) if k != j]
+    prev = (-1,) * len(terms)
     for lead in np.ndindex(shape[:-1]):
-        terms = [t[:, a] for t, a in zip(leads, lead)]
-        _add_lead_terms(extremes, terms, bounds)
-        settled_wrong, idx = _rows_to_sweep(*bounds, j)
+        # from the first axis whose index changed on: every later one changed too
+        first = next((i for i, (a, b) in enumerate(zip(lead, prev)) if a != b), len(lead))
+        prev = lead
+        for i in range(first, len(lead)):
+            if i == 0:
+                squared_residuals(axes[0][lead[0]] + base[:, 0], 0, out=terms[0])
+            else:
+                terms[i] = tables[i - 1][:, lead[i]]
+            np.add(terms[i], bounds[i - 1] if i else extremes, out=bounds[i])
+        counts[lead], idx = _rows_to_sweep(*(bounds[-1] if bounds else extremes), j)
         n = len(idx)
+        if not n:
+            continue
         wrong[:n] = False
         for k in [j, *rivals]:
             cost = own[:n] if k == j else rival[:n]
@@ -456,8 +493,13 @@ def _nearest_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
             if k != j:
                 _beats(k, j)(cost, own[:n], out=beaten[:n])
                 wrong[:n] |= beaten[:n]
-        counts[lead] = settled_wrong + np.count_nonzero(wrong[:n], axis=0)
+        counts[lead] += np.count_nonzero(wrong[:n], axis=0)
     return counts
+
+
+def _nearest_row_values(model, shape) -> int:
+    # the last axis's (classes, rows, points) table
+    return model.num_classes * shape[-1]
 
 
 def _add_lead_terms(last, terms, out) -> None:
@@ -494,12 +536,12 @@ def _rows_to_sweep(lower, upper, j):
 
 
 def _generic_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:
-    grid = np.array(list(itertools.product(*axes)))
-    base = model.means[j] + noise
-    # spans of rows whose (grid points, rows) labels fill about one decision workspace
-    step = max(1, _CHUNK_ELEMENTS // len(grid))
-    counts = np.zeros(len(grid), dtype=np.int64)
-    for lo in range(0, len(base), step):
-        counts += np.count_nonzero(classifier.decide_attacks(base[lo:lo + step], grid) != j,
-                                   axis=1)
-    return counts.reshape(tuple(len(a) for a in axes))
+    # the grid points in itertools.product order, the last axis fastest
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    labels = classifier.decide_attacks(model.means[j] + noise, grid)
+    return np.count_nonzero(labels != j, axis=1).reshape(tuple(len(a) for a in axes))
+
+
+def _generic_row_values(model, shape) -> int:
+    # the (grid points, rows) labels
+    return int(np.prod(shape))

@@ -302,20 +302,31 @@ class TestBruteForceOracle:
             labels = clf.decide_batch(m.means[0] + e + noise)
             assert surf.errors[i, j] == np.mean(labels != 0)
 
-    @pytest.mark.parametrize("path", ["separable", "nearest", "generic"])
-    def test_multi_block_surface_matches_one_shot_recount(self, path, monkeypatch):
-        # 9000 trials span two noise blocks; the oracle draws and counts them
-        # one at a time, the recount concatenates the same draws and decides
-        # every grid point with a direct numpy formula
+    @pytest.mark.parametrize("span", [1, 7, 1000, 8192])
+    @pytest.mark.parametrize("path, d", [("separable", 1), ("separable", 2), ("separable", 3),
+                                         ("nearest", 2),
+                                         ("generic", 1), ("generic", 2), ("generic", 3)])
+    def test_multi_block_surface_matches_one_shot_recount(self, path, d, span, monkeypatch):
+        # 9000 trials span two noise blocks, of 8192 and 808 rows; the oracle draws
+        # them one at a time and counts each in spans of `span` rows, or whole if it
+        # fits in two (1000 does not divide 8192 and leaves the 808 rows whole, 8192
+        # covers both), while the recount concatenates the same draws and decides
+        # every grid point with a direct numpy formula.
+        # The nearest path's spans at d = 1 and 3 are checked by
+        # test_nearest_path_equals_decide_batch_replay.
         if path == "separable":
-            m = HypothesisModel.symmetric_binary(np.array([0.8, -0.5]), 0.7)
+            m = HypothesisModel.symmetric_binary(np.array([0.8, -0.5, 0.3])[:d], 0.7)
         else:
-            m = ternary_2d(sigma_sq=0.4)
+            means = np.array([[0.0, 0.0, 0.0], [2.5, 0.25, 1.0], [-1.75, -2.25, -0.5]])
+            m = HypothesisModel(means=means[:, :d].copy(), sigma=np.sqrt(0.4))
         eps, trials, seed = 0.6, 9000, 11
         if path == "generic":
             clf = PairwiseRobustLinearClassifier(m, eps=eps)
         else:
             clf = GlrtClassifier(m, eps=eps)
+        # the values per row of each path's largest table, at 5 points per axis
+        row_values = {"separable": 5, "nearest": 3 * 5, "generic": 5 ** d}[path]
+        monkeypatch.setattr(robustht.attacks, "_SPAN_VALUES", span * row_values)
         events = []
         for name in ("noise_block", f"_{path}_surface_counts"):
             real = getattr(robustht.attacks, name)
@@ -330,15 +341,19 @@ class TestBruteForceOracle:
         surf = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
                                          trials=trials, seed=seed)
         counter = f"_{path}_surface_counts"
-        assert events == [("noise_block", 8192), (counter, 8192),
-                          ("noise_block", 808), (counter, 808)]
-        monkeypatch.undo()
+        expect_events = []
+        for rows in (8192, 808):
+            expect_events.append(("noise_block", rows))
+            step = rows if rows <= 2 * span else span
+            expect_events += [(counter, min(step, rows - lo)) for lo in range(0, rows, step)]
+        assert events == expect_events
         noise = m.sigma * np.concatenate(
-            [noise_block(seed, b, rows, 2) for b, _, rows in block_plan(trials)]
+            [noise_block(seed, b, rows, d) for b, _, rows in block_plan(trials)]
         )
-        expect = np.zeros((5, 5))
-        for i, j in np.ndindex(5, 5):
-            x = m.means[0] + np.array([surf.axes[0][i], surf.axes[1][j]]) + noise
+        base = m.means[0] + noise
+        expect = np.zeros((5,) * d)
+        for point in np.ndindex(expect.shape):
+            x = np.array([surf.axes[i][a] for i, a in enumerate(point)]) + base
             if path == "generic":
                 # class 0 is declared only when it strictly wins both of its tests
                 wins = np.ones(trials, dtype=bool)
@@ -346,15 +361,16 @@ class TestBruteForceOracle:
                     h = (m.means[0] - m.means[k]) / 2.0
                     w = np.sign(h) * np.maximum(0.0, np.abs(h) - eps)
                     wins &= x @ w - w @ (m.means[0] + m.means[k]) / 2.0 > 0
-                expect[i, j] = np.count_nonzero(~wins) / trials
+                expect[point] = np.count_nonzero(~wins) / trials
             else:
                 resid = np.maximum(0.0, np.abs(x[:, None, :] - m.means[None, :, :]) - eps)
                 labels = np.argmin((resid ** 2).sum(axis=2), axis=1)
-                expect[i, j] = np.count_nonzero(labels != 0) / trials
+                expect[point] = np.count_nonzero(labels != 0) / trials
         np.testing.assert_array_equal(surf.errors, expect)
-        threaded = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
-                                             trials=trials, seed=seed, threads=2)
-        np.testing.assert_array_equal(threaded.errors, surf.errors)
+        if span == 8192:  # the blocks on two workers; the spans within a block do not interleave
+            threaded = brute_force_attack_oracle(m, clf, 0, eps=eps, grid_points_per_axis=5,
+                                                 trials=trials, seed=seed, threads=2)
+            np.testing.assert_array_equal(threaded.errors, surf.errors)
 
     @pytest.mark.parametrize("kind", ["minimax", "glrt", "min-distance"])
     @pytest.mark.parametrize("d", [1, 2, 3])
@@ -402,11 +418,17 @@ class TestBruteForceOracle:
 
     @pytest.mark.parametrize("kind", ["glrt", "min-distance"])
     @pytest.mark.parametrize("num_classes", [3, 4, 5])
-    @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_nearest_path_equals_decide_batch_replay(self, d, num_classes, kind):
-        # the table path adds per-coordinate costs in einsum's order and applies
+    @pytest.mark.parametrize("d, span", [(d, span) for d in (1, 2, 3) for span in (1, 7, 250, 600)
+                                         if span > 1 or d < 3])
+    def test_nearest_path_equals_decide_batch_replay(self, d, span, num_classes, kind,
+                                                     monkeypatch):
+        # the nearest path adds per-coordinate costs in einsum's order and applies
         # the kernel's tie rule itself, so every cell must match a replay through
-        # decide_batch exactly; this fails if numpy changes einsum's order
+        # decide_batch exactly; this fails if numpy changes einsum's order. The
+        # oracle counts the 600 rows in spans of `span` rows (250 does not divide
+        # them), and every span length must give the same counts. 1-row spans
+        # run at d <= 2 only: at d = 3 each of 600 spans sweeps 25 leading points,
+        # about 3 s a case, and 7-row spans already split those rows 86 ways.
         lattice = np.array([[0, 0, 0], [1, 0, 1], [-1, 1, 0], [0, -1, -1], [1, 1, -1]], float)
         means = lattice[:num_classes, :d].copy()
         # the last class repeats class 1's mean one ulp off in its first
@@ -423,16 +445,18 @@ class TestBruteForceOracle:
             eps = 0.5
             m = HypothesisModel(means=means, sigma=0.6)
             clf = MinDistanceClassifier(m)
-        axes = [np.linspace(-eps, eps, 5) for _ in range(d)]
+        # the oracle's values per row of its largest table are classes x 5 points
+        monkeypatch.setattr(robustht.attacks, "_SPAN_VALUES", span * num_classes * 5)
         noise = m.sigma * noise_block(3, 0, 600, d)
-        grid = np.array(list(itertools.product(*axes)))
         ties = 0
         for j in (0, num_classes // 2, num_classes - 1):
-            counts = robustht.attacks._nearest_surface_counts(m, clf, j, axes, noise)
+            surf = brute_force_attack_oracle(m, clf, j, eps=eps, grid_points_per_axis=5,
+                                             trials=600, seed=3)
+            grid = np.array(list(itertools.product(*surf.axes)))
             x = (grid[:, None, :] + (m.means[j] + noise)[None, :, :]).reshape(-1, d)
             labels = clf.decide_batch(x).reshape(len(grid), -1)
-            expect = np.count_nonzero(labels != j, axis=1).reshape(counts.shape)
-            np.testing.assert_array_equal(counts, expect)
+            expect = np.count_nonzero(labels != j, axis=1).reshape(surf.errors.shape)
+            np.testing.assert_array_equal(surf.errors, expect / 600)
             resid = np.abs(x[:, None, :] - m.means[None, :, :])
             if kind == "glrt":
                 resid = np.maximum(0.0, resid - eps)
@@ -495,7 +519,8 @@ class TestBruteForceOracle:
 
     def test_fig6_shape_sweeps_few_rows_point_by_point(self, monkeypatch):
         # the pruning must do its work: on fig6's model, seed 5 and 2000 rows,
-        # 14.2% of (lead point, row) pairs need a point-by-point comparison
+        # 14.2% of (lead point, row) pairs need a point-by-point comparison,
+        # however the rows are split into spans
         from robustht import configs
 
         recipe = configs.figure_recipe("fig6", 2000, 5)
@@ -512,9 +537,11 @@ class TestBruteForceOracle:
         brute_force_attack_oracle(recipe.model, clf, recipe.true_class, recipe.eps,
                                   grid_points_per_axis=recipe.grid_points_per_axis,
                                   trials=recipe.trials, seed=recipe.seed)
-        assert recipe.true_class == 0 and len(swept) == recipe.grid_points_per_axis
-        assert all(rows == 2000 for rows, _ in swept)
-        assert sum(n for _, n in swept) <= 0.2 * 2000 * len(swept)
+        pairs = recipe.grid_points_per_axis * recipe.trials
+        assert recipe.true_class == 0 and recipe.trials == 2000
+        # every (lead point, row) pair is bounded once
+        assert sum(rows for rows, _ in swept) == pairs
+        assert sum(n for _, n in swept) <= 0.2 * pairs
 
     def test_dimension_guard(self):
         m = HypothesisModel(means=np.zeros((2, 4)) + np.arange(4), sigma=1.0)

@@ -6,6 +6,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from conftest import PEAK_KB
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -173,8 +174,7 @@ class TestDecisionKernel:
     def test_memory_is_one_workspace(self):
         # M = 10, d = 10^4, 1024 rows: an (n, M, d) float64 temporary would be
         # 10 times x, while the kernel's workspace is a fixed 512 KB
-        script = textwrap.dedent("""
-            import resource
+        script = PEAK_KB + textwrap.dedent("""
             import numpy as np
             from robustht.classifiers import GlrtClassifier, MinDistanceClassifier
             from robustht.model import HypothesisModel
@@ -184,12 +184,11 @@ class TestDecisionKernel:
             x = np.empty((1024, 10_000))
             rng.standard_normal(out=x)
             rules = [GlrtClassifier(model, eps=0.5), MinDistanceClassifier(model)]
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+            before = peak_kb()
             for rule in rules:
                 rule.decide_batch(x)
             rules[1].decide_attacks(x, rng.standard_normal((3, 10_000)))
-            after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-            print((after - before) * 1024, x.nbytes)
+            print((peak_kb() - before) * 1024, x.nbytes)
         """)
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                               text=True, timeout=300)

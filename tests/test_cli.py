@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import PEAK_KB
 
 import robustht.analysis
 import robustht.attacks
@@ -13,14 +14,6 @@ from robustht import cli
 from robustht.rng import BLOCK_SIZE
 
 CLI = [sys.executable, "-m", "robustht.cli"]
-
-# A probe's own peak RSS in KB. Linux keeps ru_maxrss across exec, so a child's
-# ru_maxrss starts at the RSS of the test process that spawned it; VmHWM is the
-# high-water mark of the child's own memory.
-PEAK_KB = ("def peak_kb():\n"
-           "    with open('/proc/self/status') as fh:\n"
-           "        return next(int(line.split()[1]) for line in fh\n"
-           "                    if line.startswith('VmHWM:'))\n")
 
 
 def run_cli(*args, **kwargs):
@@ -106,22 +99,29 @@ class TestReproduce:
 
     @pytest.mark.parametrize("figure", ["fig6", "fig7"])
     def test_surface_peak_memory_is_bounded(self, tmp_path, figure):
-        # the grid oracle holds per-axis cost tables (GLRT) or the labels of
-        # about 2^16 (grid point, row) pairs (PRL), never a whole
-        # (grid x trials, d) tensor
+        # the grid oracle counts each block in spans of rows whose largest table
+        # holds about 2^18 values, never a whole block's tables or a
+        # (grid x trials, d) tensor: fig6 grows by about 6 MB (9 MB on two
+        # workers), where whole-block tables would take 26 MB
         probe = PEAK_KB + (
             "import sys\n"
             "from robustht import cli\n"
             "before = peak_kb()\n"
-            "code = cli.main(['reproduce', sys.argv[1], '--seed', '7', '--out', sys.argv[2]])\n"
+            "code = cli.main(['reproduce', sys.argv[1], '--seed', '7', '--threads', sys.argv[2],"
+            " '--out', sys.argv[3]])\n"
             "print(code, peak_kb() - before)\n"
         )
-        r = subprocess.run([sys.executable, "-c", probe, figure, str(tmp_path / "out.csv")],
-                           capture_output=True, text=True, timeout=600)
-        assert r.returncode == 0, r.stderr
-        code, grown_kb = map(int, r.stdout.split())
-        assert code == 0
-        assert grown_kb <= 48 * 1024
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"out-{threads}.csv"
+            r = subprocess.run([sys.executable, "-c", probe, figure, threads, str(out)],
+                               capture_output=True, text=True, timeout=600)
+            assert r.returncode == 0, r.stderr
+            code, grown_kb = map(int, r.stdout.split())
+            assert code == 0
+            assert grown_kb <= 16 * 1024, threads
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestSimulate:
