@@ -17,6 +17,7 @@ from .classifiers import (
     GlrtClassifier,
     MinDistanceClassifier,
     MinimaxLinearClassifier,
+    _beats,
     _soft_threshold_in_place,
     per_coordinate_cost_difference,
 )
@@ -163,6 +164,18 @@ def nn_class_glrt(
     )
 
 
+# the NN class criterion matched to each defense, as f(model, true_class, eps,
+# kappa): minimum distance scores with the employed strength alone, the others
+# share the soft-threshold criterion (the minimax rule has a single candidate)
+_NN_CRITERIA = {
+    ClassifierKind.MIN_DISTANCE: lambda model, j, eps, kappa: nn_class_min_distance(
+        model, j, kappa),
+    ClassifierKind.GLRT: nn_class_glrt,
+    ClassifierKind.PAIRWISE_ROBUST_LINEAR: nn_class_glrt,
+    ClassifierKind.MINIMAX_LINEAR: nn_class_glrt,
+}
+
+
 def heuristic_agnostic_attack(
     model: HypothesisModel,
     classifier_kind: ClassifierKind,
@@ -180,16 +193,11 @@ def heuristic_agnostic_attack(
     """
     check_eps(eps, kappa)
     j = model.check_class(true_class)
-    if classifier_kind is ClassifierKind.MIN_DISTANCE:
-        nn = nn_class_min_distance(model, j, kappa)
-    elif classifier_kind in (ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR):
-        nn = nn_class_glrt(model, j, eps, kappa)
-    elif classifier_kind is ClassifierKind.MINIMAX_LINEAR:
-        if model.num_classes != 2:
-            raise ValueError("the minimax linear classifier is binary only")
-        nn = nn_class_glrt(model, j, eps, kappa)  # single candidate either way
-    else:
+    if classifier_kind not in _NN_CRITERIA:
         raise ValueError(f"unsupported classifier kind: {classifier_kind}")
+    if classifier_kind is ClassifierKind.MINIMAX_LINEAR and model.num_classes != 2:
+        raise ValueError("the minimax linear classifier is binary only")
+    nn = _NN_CRITERIA[classifier_kind](model, j, eps, kappa)
     vector = binary_sign_attack(model, j, nn.target, kappa)
     return AttackResult(vector=_assert_budget(vector, eps), feasible=True, target_class=nn.target)
 
@@ -215,7 +223,11 @@ def noise_aware_labels(true_class: int, decided) -> np.ndarray:
     replay whose label leaves the true class (REJECT counts as leaving),
     even where the first already misclassifies it. One replay is a fixed
     attack, whose labels are decided[0] itself, not a copy; the
-    `sign_replays` are the optimal noise-aware attack.
+    `sign_replays` are the optimal noise-aware attack. A row errs where
+    some replay leaves the true class, so the Monte Carlo engine counts the
+    GLRT's errors from pairwise checks instead; it takes labels through
+    this rule for the other rules, where PRL's reject count needs the label
+    of the first replay that leaves.
     """
     if len(decided) == 1:
         return decided[0]
@@ -356,12 +368,6 @@ def brute_force_attack_oracle(
         eps=eps,
         true_class=j,
     )
-
-
-def _beats(k: int, j: int):
-    """The comparison under which class k's cost beats class j's: the
-    decision kernel's tie rule, in which the lower index wins ties."""
-    return np.less_equal if k < j else np.less
 
 
 def _separable_surface_counts(model, classifier, j, axes, noise) -> np.ndarray:

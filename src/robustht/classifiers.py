@@ -4,21 +4,26 @@ All classifiers are immutable after construction and classification is pure,
 so instances can be shared freely across threads. Each exposes two decision
 calls. `decide_batch` takes an (n, d) array of observations (or one
 d-vector) and returns n labels. `decide_attacks(x, attacks)` returns one
-row of labels per attack e, those of x + e; the Monte Carlo engine, the
-noise-aware replay and the generic grid oracle drive it. Each row is
-decided on its own. Its optional `work`, shaped like x, is where the GLRT
-builds each x + e; the other rules never build it. Ties always resolve to the lowest class index, which
-keeps golden tests deterministic and is measure-zero under continuous noise.
+row of labels per attack e, those of x + e; the noise-aware replay and the
+generic grid oracle drive it, and the Monte Carlo engine does for every
+rule but the GLRT. Each row is decided on its own. Its optional `work`,
+shaped like x, is where the GLRT builds each x + e; the other rules never
+build it, and the GLRT decides an all-zero attack on x itself. Ties always
+resolve to the lowest class index (`_beats`), which keeps golden tests
+deterministic and is measure-zero under continuous noise.
 
 Minimum distance and the GLRT share one decision kernel: it visits the M
 classes in turn with a single workspace of about 2^16 values (one row when
 d is larger) and keeps a running argmin, so beyond its input a call holds
 only that workspace and a few vectors with one entry per row and attack,
-whatever M is. The GLRT decides each x + e afresh. The other rules are
-linear in the attack and score every attack from one pass over x: the
-minimax and pairwise rules from s(x) + w.e, minimum distance from
-||x - mu_k||^2 - 2 e.mu_k. Every dot product goes through np.einsum, never
-BLAS, so no label depends on the BLAS kernel.
+whatever M is. The GLRT decides each x + e afresh. For the engine it
+counts errors instead of labels (`GlrtClassifier.attack_errors`): an
+attack need only compare class j's cost with the rivals that it must be
+checked against, two class costs for a noise-aware replay toward one
+rival. The other rules are linear in the attack and score every attack
+from one pass over x: the minimax and pairwise rules from s(x) + w.e,
+minimum distance from ||x - mu_k||^2 - 2 e.mu_k. Every dot product goes
+through np.einsum, never BLAS, so no label depends on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -133,6 +138,21 @@ def _class_costs(x: np.ndarray, means: np.ndarray, eps: float | None):
         yield np.einsum("nd,nd->n", work, work, out=cost)
 
 
+def _beats(k: int, j: int):
+    """The comparison under which class k's cost beats class j's: the
+    decision kernels' tie rule, in which the lower index wins ties."""
+    return np.less_equal if k < j else np.less
+
+
+def _attacked(x: np.ndarray, e: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """x + e, built in work, or x itself when e is all zero.
+
+    Skipping the zero attack changes no cost: x + 0 differs from x only by
+    turning a -0.0 into +0.0, a sign that the residual's abs or square drops.
+    """
+    return np.add(x, e, out=work) if e.any() else x
+
+
 def _nearest_class(x, means: np.ndarray, eps: float | None, shifts=None) -> np.ndarray:
     """Row-wise argmin of `_class_costs` minus shifts; the lowest index wins ties.
 
@@ -159,6 +179,36 @@ def _nearest_class(x, means: np.ndarray, eps: float | None, shifts=None) -> np.n
             np.copyto(labels[rows], k, where=closer[rows])
             np.copyto(best[rows], cost, where=closer[rows])
     return labels
+
+
+def _attack_errors(x, attacks, rivals, means: np.ndarray, eps: float, j: int,
+                   work) -> np.ndarray:
+    """Whether a rival of class j beats it at x + e, for each attack e: (attacks, rows) bools.
+
+    Attack a compares class j's `_class_costs` entry with that of each class
+    in rivals[a] under `_beats`. With every other class as its rivals that
+    is `_nearest_class(x + e) != j`, the same costs and the same tie rule;
+    with fewer it costs len(rivals[a]) + 1 classes, not M. x + e is built in
+    work (`_attacked`), which may be x itself when there is one attack. Rows
+    go through in chunks of about _CHUNK_ELEMENTS, every attack in turn on a
+    chunk, and each row's cost is summed on its own, as in `_nearest_class`.
+    """
+    n, d = x.shape
+    wrong = np.zeros((len(attacks), n), dtype=bool)
+    own = np.empty(n)
+    beaten = np.empty(n, dtype=bool)
+    # class j's mean first, then the attack's rivals'
+    operands = [means[[j, *ks]] for ks in rivals]
+    step = max(1, _CHUNK_ELEMENTS // d)
+    for lo in range(0, n, step):
+        rows = np.s_[lo:lo + step]
+        for e, ks, classes, err in zip(attacks, rivals, operands, wrong):
+            costs = _class_costs(_attacked(x[rows], e, work[rows]), classes, eps)
+            np.copyto(own[rows], next(costs))
+            for k, cost in zip(ks, costs):
+                np.logical_or(err[rows], _beats(k, j)(cost, own[rows], out=beaten[rows]),
+                              out=err[rows])
+    return wrong
 
 
 class MinDistanceClassifier:
@@ -201,12 +251,25 @@ class GlrtClassifier:
     def decide_attacks(self, x, attacks, work=None) -> np.ndarray:
         """Labels of x + e for each attack, each decided by `decide_batch`.
 
-        work, shaped like x, receives each x + e; it may be x itself when
-        there is one attack.
+        work, shaped like x, receives each x + e (`_attacked`: an all-zero
+        attack is decided on x itself); it may be x itself when there is
+        one attack.
         """
         x = _as_batch(x)
         work = np.empty_like(x) if work is None else work
-        return np.stack([self.decide_batch(np.add(x, e, out=work)) for e in attacks])
+        return np.stack([self.decide_batch(_attacked(x, e, work)) for e in attacks])
+
+    def attack_errors(self, x, true_class: int, attacks, rivals, work=None) -> np.ndarray:
+        """Whether x + e leaves true_class, for each attack e, checked against rivals.
+
+        rivals[a] lists the classes that attack a is checked against
+        (`_attack_errors`); with every class but true_class it is
+        `decide_attacks(x, attacks) != true_class`. work is as in
+        `decide_attacks`.
+        """
+        x = _as_batch(x)
+        work = np.empty_like(x) if work is None else work
+        return _attack_errors(x, attacks, rivals, self.model.means, self.eps, true_class, work)
 
 
 class MinimaxLinearClassifier:

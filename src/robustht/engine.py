@@ -20,10 +20,15 @@ value, its classifiers (built once per model), its sigma (calibrated per
 dimension on the dimension axis) and its distinct (classifier, attack mode,
 kappa) cells. `_tally_configs` turns the cells of every point into Monte
 Carlo cells and the estimates back into rows, in sweep order.
-Each cell's attack is resolved once to replays (`_attack_plan`). Cells that
-see the same observations (same model, classifier, true class and sigma)
-decide each of their distinct attacks once per row tile, and every cell
-takes its labels from its replays by one rule, `attacks.noise_aware_labels`.
+Each cell's attack is resolved once to replays (`_attack_plan`), and each
+sign attack and NN target is built once per run. Cells that see the same
+observations (same model, classifier, true class and sigma) decide each of
+their distinct attacks once per row tile, and a cell errs where one of its
+replays does. The GLRT counts errors, not labels: an attack that only
+serves as a noise-aware replay toward rival l is checked against l alone,
+any other against every rival (`GlrtClassifier.attack_errors`). The other
+rules take each cell's labels from its replays by one rule,
+`attacks.noise_aware_labels`, which PRL's reject count needs.
 
 This module also owns the sweep row: COLUMNS names its fields, `sweep_row`
 builds one (for sweeps and for the CLI's `predict`), and `format_row` with
@@ -47,7 +52,9 @@ from .analysis import (
     clt_error,
     sigma_for_target_error,
 )
-from .attacks import heuristic_agnostic_attack, noise_aware_labels, sign_replays
+# heuristic_agnostic_attack stays bound here: bench/tracing.py patches it through this name
+from .attacks import _NN_CRITERIA, binary_sign_attack, noise_aware_labels
+from .attacks import heuristic_agnostic_attack  # noqa: F401
 from .classifiers import ClassifierKind, build_classifier
 from .model import (
     REJECT,
@@ -87,37 +94,89 @@ _Z95 = 1.959963984540054  # two-sided 95% normal quantile
 _TILE_ELEMENTS = 1 << 16
 
 
-def _attack_plan(model, classifier, spec: AttackSpec, true_class: int) -> list[np.ndarray]:
-    """An AttackSpec's replays: one attack, unless it is noise-aware."""
+def _attack_plan(model, classifier, spec: AttackSpec, true_class: int, built: dict) -> list:
+    """An AttackSpec's replays as (rivals, attack) pairs: one attack, unless it is noise-aware.
+
+    rivals are the classes that the attack must be checked against for the
+    GLRT's errors. The noise-aware replays are the zero attack and the sign
+    attack toward each rival l. That sign attack minimises the GLRT's cost
+    gap between l and class j over the kappa box, so under it only l need
+    be checked against j. Every other attack, the zero replay included, is
+    scored by its own label, so it is checked against every class but j.
+    The agnostic attack is the sign attack toward its NN target. built
+    memoizes, across the plans of one `_decision_groups` call, each sign
+    attack by (model, j, rival, kappa) and each NN target by (model,
+    criterion, j, budget, kappa).
+    """
+    j, kappa = true_class, spec.strength
+    others = [k for k in range(model.num_classes) if k != j]
+
+    def sign(k):
+        key = (id(model), j, k, kappa)
+        if key not in built:
+            built[key] = binary_sign_attack(model, j, k, kappa)
+        return built[key]
+
     if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
-        return list(sign_replays(model, true_class, spec.strength).values())
+        return [(others, np.zeros(model.dim))] + [([k], sign(k)) for k in others]
     if spec.mode is AttackMode.NONE:
-        return [np.zeros(model.dim)]
+        return [(others, np.zeros(model.dim))]
     if spec.mode is AttackMode.FIXED_VECTOR:
-        return [spec.vector]
+        return [(others, spec.vector)]
     if spec.mode is AttackMode.NOISE_AGNOSTIC_HEURISTIC:
-        result = heuristic_agnostic_attack(
-            model, classifier.kind, true_class, spec.budget, spec.strength
-        )
-        return [result.vector]
+        criterion = _NN_CRITERIA[classifier.kind]
+        key = (id(model), criterion, j, spec.budget, kappa)
+        if key not in built:
+            built[key] = criterion(model, j, spec.budget, kappa).target
+        return [(others, sign(built[key]))]
     raise ValueError(f"unknown attack mode: {spec.mode}")
 
 
-def _decision_groups(tasks) -> list[tuple[list, np.ndarray]]:
-    """(members, attacks) of each group of tasks that see the same observations.
+def _decision_groups(tasks) -> list[tuple[list, np.ndarray, list]]:
+    """(members, attacks, rivals) of each group of tasks that see the same observations.
 
     Those are tasks with the same model and classifier objects, true class
     and sigma. attacks holds the group's distinct attack vectors, one per
-    row; member (task, picks) replays attacks[p] for each p in picks, in order.
+    row; member (task, picks) replays attacks[p] for each p in picks, in
+    order. rivals[p] lists, in increasing order, every class that some
+    member's `_attack_plan` checks attack p against. Each attack is built
+    once.
     """
+    built: dict = {}
     groups: dict[tuple, tuple[list, dict]] = {}
     for t, (model, classifier, spec, j, sigma) in enumerate(tasks):
         members, attacks = groups.setdefault((id(model), id(classifier), j, sigma), ([], {}))
-        picks = [attacks.setdefault(e.tobytes(), (len(attacks), e))[0]
-                 for e in _attack_plan(model, classifier, spec, j)]
+        picks = []
+        for rivals, e in _attack_plan(model, classifier, spec, j, built):
+            p, _, needed = attacks.setdefault(e.tobytes(), (len(attacks), e, set()))
+            needed.update(rivals)
+            picks.append(p)
         members.append((t, picks))
-    return [(members, np.array([e for _, e in attacks.values()]))
+    return [(members, np.array([e for _, e, _ in attacks.values()]),
+             [tuple(sorted(needed)) for _, _, needed in attacks.values()])
             for members, attacks in groups.values()]
+
+
+def _tally_tile(counts, members, attacks, rivals, classifier, j, base, work) -> None:
+    """Add each member's (errors, rejects) on one tile of observations, base.
+
+    One call decides each of the group's distinct attacks once on the tile.
+    The GLRT counts errors only, and never rejects: `attack_errors` checks
+    each attack against its rivals, and a member's errors are the OR of its
+    attacks' masks, the rows where some replay leaves j. Every other rule
+    takes its labels from its replays through `noise_aware_labels`: PRL's
+    reject count needs the label of the first replay that leaves j.
+    """
+    if classifier.kind is ClassifierKind.GLRT:
+        wrong = classifier.attack_errors(base, j, attacks, rivals, work=work)
+        for t, picks in members:
+            counts[t, 0] += np.count_nonzero(np.any(wrong[picks], axis=0))
+        return
+    decided = classifier.decide_attacks(base, attacks, work=work)
+    for t, picks in members:
+        labels = noise_aware_labels(j, [decided[i] for i in picks])
+        counts[t, 0] += np.count_nonzero(labels != j)
+        counts[t, 1] += np.count_nonzero(labels == REJECT)
 
 
 def _tally_block(tasks, groups, seed, block, rows, widest) -> np.ndarray:
@@ -135,13 +194,12 @@ def _tally_block(tasks, groups, seed, block, rows, widest) -> np.ndarray:
     block does not grow with rows * widest.
     For each tile, mu_j + sigma * z is built from the window in one buffer
     reused by every group (the scaling reads the ring, so no value is
-    copied twice), and one `decide_attacks` call decides each of the
-    group's distinct attacks once on it. Every task's labels then come from
-    its replays of those decisions through `noise_aware_labels`. Each row
-    is decided on its own, so neither tiling, chunking nor sharing changes
-    a single label.
+    copied twice), and `_tally_tile` decides each of the group's distinct
+    attacks once on it and adds up its members' errors and rejects. Each
+    row is decided on its own, so neither tiling, chunking nor sharing
+    changes a single count.
     """
-    dims = [attacks.shape[1] for _, attacks in groups]
+    dims = [attacks.shape[1] for _, attacks, _ in groups]
     steps = [min(max(1, _TILE_ELEMENTS // dim), rows) for dim in dims]
     # one pair of tile buffers per block, large enough for every group's tile
     size = max(step * dim for step, dim in zip(steps, dims))
@@ -156,7 +214,7 @@ def _tally_block(tasks, groups, seed, block, rows, widest) -> np.ndarray:
     starts = [0] * len(groups)  # the first row of each group's next tile
     counts = np.zeros((len(tasks), 2), dtype=np.int64)
     while True:
-        for g, (step, dim, (members, attacks)) in enumerate(zip(steps, dims, groups)):
+        for g, (step, dim, (members, attacks, rivals)) in enumerate(zip(steps, dims, groups)):
             model, classifier, _, j, sigma = tasks[members[0][0]]
             while starts[g] < rows and min(starts[g] + step, rows) * dim <= drawn:
                 n = min(step, rows - starts[g])
@@ -170,13 +228,8 @@ def _tally_block(tasks, groups, seed, block, rows, widest) -> np.ndarray:
                 base += model.means[j]
                 # the GLRT adds a lone attack in place, which keeps one tile in cache
                 # (a dimension sweep's groups); several need the tile kept intact
-                out = base if len(attacks) == 1 else attacked_buffer[:n * dim].reshape(n, dim)
-                decided = classifier.decide_attacks(base, attacks, work=out)
-                for t, picks in members:
-                    labels = noise_aware_labels(j, [decided[i] for i in picks])
-                    counts[t, 0] += np.count_nonzero(labels != j)
-                    counts[t, 1] += np.count_nonzero(labels == REJECT)
-                del decided, labels  # one tile's labels at a time: free them before the next
+                work = base if len(attacks) == 1 else attacked_buffer[:n * dim].reshape(n, dim)
+                _tally_tile(counts, members, attacks, rivals, classifier, j, base, work)
                 starts[g] += n
         needed = [start * dim for start, dim in zip(starts, dims) if start < rows]
         if not needed:

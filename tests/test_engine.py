@@ -10,10 +10,17 @@ import pytest
 
 import robustht.analysis
 import robustht.attacks
+import robustht.classifiers
 import robustht.engine
 from robustht import cli
 from robustht.analysis import METHOD_CLT_EXACT, METHOD_MONTE_CARLO, moment_study
-from robustht.attacks import binary_sign_attack, brute_force_attack_oracle
+from robustht.attacks import (
+    binary_sign_attack,
+    brute_force_attack_oracle,
+    heuristic_agnostic_attack,
+    noise_aware_labels,
+    sign_replays,
+)
 from robustht.classifiers import (
     ClassifierKind,
     GlrtClassifier,
@@ -333,9 +340,11 @@ class TestCountBlockTiles:
                     newly = (flipped != j) & ~left
                     labels[newly] = flipped[newly]
                     left |= newly
+        elif spec.mode is AttackMode.NONE:
+            labels = classifier.decide_batch(base)
         else:
-            [e] = robustht.engine._attack_plan(model, classifier, spec, j)
-            labels = classifier.decide_batch(base + e)
+            e = heuristic_agnostic_attack(model, classifier.kind, j, spec.budget, spec.strength)
+            labels = classifier.decide_batch(base + e.vector)
         return int((labels != j).sum()), int((labels == REJECT).sum())
 
     @classmethod
@@ -417,23 +426,121 @@ class TestCountBlockTiles:
         assert len(ends) > self.ROWS // 4
 
     def test_sign_attacks_built_at_plan_time(self, monkeypatch):
-        # more tiles per block must not build more sign attacks
-        calls = []
+        # more tiles per block, or a second rule, must not build more sign
+        # attacks or NN targets: each is built once per run
+        calls, targets = [], []
         real = robustht.attacks.binary_sign_attack
-        monkeypatch.setattr(robustht.attacks, "binary_sign_attack",
-                            lambda *args: calls.append(args) or real(*args))
+        for module in (robustht.attacks, robustht.engine):
+            monkeypatch.setattr(module, "binary_sign_attack",
+                                lambda *args: calls.append(args) or real(*args))
+        real_nn = robustht.attacks.nn_class_glrt
+
+        def counted_nn(*args):
+            targets.append(args)
+            return real_nn(*args)
+
+        # one wrapper for every rule that shares the criterion, as the table shares it
+        for kind, criterion in robustht.attacks._NN_CRITERIA.items():
+            if criterion is real_nn:
+                monkeypatch.setitem(robustht.attacks._NN_CRITERIA, kind, counted_nn)
         model = ternary_20d_model(sigma_sq=1.0)
-        classifier = build_classifier(ClassifierKind.GLRT, model, 1.0)
-        cells = [(model, classifier, AttackSpec(budget=1.0, strength=0.5, mode=mode), model.sigma)
+        cells = [(model, build_classifier(kind, model, 1.0),
+                  AttackSpec(budget=1.0, strength=0.5, mode=mode), model.sigma)
+                 for kind in (ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR)
                  for mode in (AttackMode.NOISE_AGNOSTIC_HEURISTIC, AttackMode.NOISE_AWARE_OPTIMAL)]
         counted = []
         for tile in (1 << 16, 1000):
             monkeypatch.setattr(robustht.engine, "_TILE_ELEMENTS", tile)
             calls.clear()
+            targets.clear()
             robustht.engine._monte_carlo_cells(cells, None, 4096, 3, 1)
-            counted.append(len(calls))
-        # per true class: the agnostic attack's, and the aware attack's toward each rival
-        assert counted == [3 * (1 + 2)] * 2
+            counted.append((len(calls), len(targets)))
+        # per true class: the sign attack toward each rival, which the agnostic
+        # cells reuse, and one NN target that the GLRT and PRL share
+        assert counted == [(3 * 2, 3)] * 2
+
+
+class TestGlrtErrorPath:
+    """The GLRT's errors from its pairwise checks equal the replay rule's, row by row.
+
+    The engine decides each attack of a group against the rivals of its plan
+    (`attack_errors`), and a cell errs where one of its attacks does. The
+    reference replays every attack with a full `decide_batch` and takes the
+    labels through `noise_aware_labels`.
+    """
+
+    ROWS = 400
+
+    @staticmethod
+    def models():
+        """(model, lattice) for M = 3..12: random means and noise, then means, noise,
+        eps and kappa on a grid of step 1/4, so that costs tie exactly."""
+        gen = np.random.default_rng(29)
+        for m in range(3, 13):
+            d = int(gen.integers(2, 21))
+            yield HypothesisModel(means=gen.normal(size=(m, d)), sigma=0.7), False
+        for m in range(3, 13):
+            d = int(gen.integers(4, 9))
+            means = gen.integers(-3, 4, size=(m, d)) / 4.0
+            while len(np.unique(means, axis=0)) < m:
+                means = gen.integers(-3, 4, size=(m, d)) / 4.0
+            yield HypothesisModel(means=means, sigma=1.0), True
+
+    @staticmethod
+    def replayed(model, classifier, spec, j, base) -> np.ndarray:
+        """A cell's error indicator from full decide_batch replays."""
+        if spec.mode is AttackMode.NOISE_AWARE_OPTIMAL:
+            labels = noise_aware_labels(j, [classifier.decide_batch(base + e) for e in
+                                            sign_replays(model, j, spec.strength).values()])
+        elif spec.mode is AttackMode.NONE:
+            labels = classifier.decide_batch(base)
+        else:
+            e = heuristic_agnostic_attack(model, classifier.kind, j, spec.budget, spec.strength)
+            labels = classifier.decide_batch(base + e.vector)
+        return labels != j
+
+    def test_errors_equal_the_replay_rule(self):
+        gen = np.random.default_rng(30)
+        # exact cost ties of a rival with j under the rival's own replay, by
+        # whether the rival's index is below or above j
+        ties = collections.Counter()
+        for model, lattice in self.models():
+            z = (gen.integers(-6, 7, size=(self.ROWS, model.dim)) / 4.0 if lattice
+                 else gen.standard_normal((self.ROWS, model.dim)))
+            # the GLRT at eps > 0 and at eps = 0, with an attack budget of 0.5
+            for eps in (0.5, 0.0):
+                classifier = GlrtClassifier(model, eps)
+                for kappa in (0.0, 0.25, 0.5):
+                    specs = [AttackSpec(budget=0.5, strength=kappa, mode=mode) for mode in (
+                        AttackMode.NOISE_AWARE_OPTIMAL, AttackMode.NOISE_AGNOSTIC_HEURISTIC)]
+                    specs.append(AttackSpec.none())
+                    for j in range(model.num_classes):
+                        base = model.means[j] + model.sigma * z
+                        # the cells together, and the aware cell alone, whose zero
+                        # replay then shares no attack with a cell scored on its own
+                        for cells in (specs, specs[:1]):
+                            tasks = [(model, classifier, spec, j, model.sigma) for spec in cells]
+                            [(members, attacks, rivals)] = robustht.engine._decision_groups(tasks)
+                            if kappa == 0.0:
+                                # every replay is the zero attack, checked against every rival
+                                assert len(attacks) == 1
+                                assert rivals == [tuple(k for k in range(model.num_classes)
+                                                        if k != j)]
+                            wrong = classifier.attack_errors(base, j, attacks, rivals)
+                            for t, picks in members:
+                                np.testing.assert_array_equal(
+                                    np.any(wrong[picks], axis=0),
+                                    self.replayed(model, classifier, cells[t], j, base),
+                                    err_msg=f"M={model.num_classes} eps={eps} kappa={kappa} "
+                                            f"j={j} {cells[t].mode}")
+                        if lattice:
+                            for k, e in sign_replays(model, j, kappa).items():
+                                if k >= 0:
+                                    own, rival = [
+                                        cost.copy() for cost in robustht.classifiers._class_costs(
+                                            base + e, model.means[[j, k]], eps)]
+                                    ties[k < j] += np.count_nonzero(own == rival)
+        assert ties[True] > 0 and ties[False] > 0
 
 
 class TestSharedDecisions:
@@ -441,30 +548,48 @@ class TestSharedDecisions:
 
     @pytest.fixture
     def decided(self, monkeypatch):
-        """(kind, shape, tile digest, attack digest) -> times decided, and rows
-        decided per kind, counting each attack of a decide_attacks call."""
+        """(kind, shape, tile digest, attack or class digest) -> times decided, and
+        the work per kind: the row·class costs of the GLRT and minimum distance
+        (`classifiers._class_costs`, whose eps is None for minimum distance) and
+        the rows of each attack of a PRL decide_attacks call."""
         tiles = collections.Counter()
-        rows = collections.Counter()
-        for cls in (GlrtClassifier, MinDistanceClassifier, PairwiseRobustLinearClassifier):
-            def recorded(self, x, attacks, work=None, real=cls.decide_attacks):
-                tile = hashlib.sha256(x.tobytes()).digest()
-                for e in attacks:
-                    tiles[(self.kind, x.shape, tile, e.tobytes())] += 1
-                    rows[self.kind] += x.shape[0]
-                return real(self, x, attacks, work)
+        spent = collections.Counter()
+        real_costs = robustht.classifiers._class_costs
 
-            monkeypatch.setattr(cls, "decide_attacks", recorded)
-        return tiles, rows
+        def costs(x, means, eps):
+            kind = ClassifierKind.MIN_DISTANCE if eps is None else ClassifierKind.GLRT
+            tile = hashlib.sha256(x.tobytes()).digest()
+            for mu in means:
+                tiles[(kind, x.shape, tile, mu.tobytes())] += 1
+            spent[kind] += x.shape[0] * len(means)
+            return real_costs(x, means, eps)
+
+        def recorded(self, x, attacks, work=None,
+                     real=PairwiseRobustLinearClassifier.decide_attacks):
+            tile = hashlib.sha256(x.tobytes()).digest()
+            for e in attacks:
+                tiles[(self.kind, x.shape, tile, e.tobytes())] += 1
+                spent[self.kind] += x.shape[0]
+            return real(self, x, attacks, work)
+
+        monkeypatch.setattr(robustht.classifiers, "_class_costs", costs)
+        monkeypatch.setattr(PairwiseRobustLinearClassifier, "decide_attacks", recorded)
+        return tiles, spent
 
     def test_fig8_decides_each_distinct_observation_once(self, decided, tmp_path):
         # per class j: the zero attack and 2 sign attacks at each of the 10 kappas > 0
         code = cli.main(["reproduce", "fig8", "--trials", "1000",
                          "--out", str(tmp_path / "fig8.csv")])
         assert code == 0
-        tiles, rows = decided
-        assert rows == {kind: 3 * 21 * 1000 for kind in (
-            ClassifierKind.GLRT, ClassifierKind.PAIRWISE_ROBUST_LINEAR,
-            ClassifierKind.MIN_DISTANCE)}
+        tiles, spent = decided
+        assert spent == {
+            # the zero attack and the agnostic cell's attack, which aware shares,
+            # against both rivals: 3 costs each; the other aware replay 2
+            ClassifierKind.GLRT: 3 * (3 + 10 * (3 + 2)) * 1000,
+            # one cost table per tile serves every attack
+            ClassifierKind.MIN_DISTANCE: 3 * 3 * 1000,
+            ClassifierKind.PAIRWISE_ROBUST_LINEAR: 3 * 21 * 1000,
+        }
         assert max(tiles.values()) == 1
 
     @staticmethod
